@@ -85,10 +85,24 @@ def _check_fields(data: dict, allowed: set, strict: bool) -> None:
 
 
 def _parse_vec(raw, name: str) -> MVec3:
+    """Three finite JSON numbers; booleans, NaN and +-Infinity are refused."""
     if (not isinstance(raw, (list, tuple)) or len(raw) != 3
-            or not all(isinstance(v, (int, float)) for v in raw)):
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in raw)):
         raise InputError(f"{name} must be an array of 3 numbers")
-    return MVec3(float(raw[0]), float(raw[1]), float(raw[2]))
+    try:
+        coords = [float(v) for v in raw]
+    except OverflowError:  # an integer beyond the float range
+        coords = None
+    if coords is None or not all(math.isfinite(v) for v in coords):
+        raise InputError(f"{name} must have finite coordinates")
+    return MVec3(*coords)
+
+
+def _at_least(value: int, least: int, option: str) -> int:
+    if value < least:
+        raise InputError(f"{option} must be at least {least}, got {value}")
+    return value
 
 
 def _parse_triangle(data: dict) -> Triangle:
@@ -152,7 +166,8 @@ def _verify_triangles(args) -> list:
     if args.sample:
         if args.file:
             raise InputError("--sample and --file are mutually exclusive")
-        spec = SampleSpec(family=args.sample, count=args.count, seed=args.seed)
+        count = _at_least(args.count, 1, "--count")
+        spec = SampleSpec(family=args.sample, count=count, seed=args.seed)
         return sample_triangle(spec)
     data = _load_json(args)
     _check_fields(data, {"vertices"}, args.strict)
@@ -196,6 +211,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_geodesic(args) -> int:
+    samples = _at_least(args.samples, 2, "--samples")
     data = _load_json(args)
     _check_fields(data, {"a", "b"}, args.strict)
     if "a" not in data or "b" not in data:
@@ -210,14 +226,15 @@ def cmd_export_geodesic(args) -> int:
     bound = 1.0 if kind is SegmentKind.DE_SITTER_LIGHTLIKE else distance(a, b)
     writer = csv.writer(sys.stdout)
     writer.writerow(["x1", "x2", "x3", "t"])
-    for t in np.linspace(0.0, bound, args.samples):
+    for t in np.linspace(0.0, bound, samples):
         p = segment_point(a, b, float(t))
         writer.writerow([repr(p.x1), repr(p.x2), repr(p.x3), repr(float(t))])
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    spec = SampleSpec(family=args.family, count=args.count, seed=args.seed)
+    count = _at_least(args.count, 1, "--count")
+    spec = SampleSpec(family=args.family, count=count, seed=args.seed)
     triangles = sample_triangle(spec)
     _emit({"family": args.family, "seed": args.seed,
            "triangles": [_triangle_json(t) for t in triangles]})

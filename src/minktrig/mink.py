@@ -1,7 +1,9 @@
 """Linear algebra of the indefinite product -x1*y1 + x2*y2 + x3*y3 on R^3.
 
 Sign convention: the first coordinate is the time coordinate.  All vectors
-are plain triples of finite floats; 3x3 matrices are numpy arrays.
+are plain triples of floats; 3x3 matrices are numpy arrays.  Components are
+not checked for finiteness here: surface_point() and the CLI's parser reject
+non-finite input.
 """
 
 from __future__ import annotations
@@ -25,11 +27,6 @@ class MVec3:
     x1: float
     x2: float
     x3: float
-
-    def __post_init__(self):
-        for v in (self.x1, self.x2, self.x3):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite component in {(self.x1, self.x2, self.x3)}")
 
     def __add__(self, other: "MVec3") -> "MVec3":
         return MVec3(self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3)
@@ -103,15 +100,6 @@ def classify_vector(x: MVec3, tol: Tolerances = DEFAULT_TOL) -> CausalClass:
     if abs(q) <= tol.eps_light * scale:
         return CausalClass.LIGHTLIKE
     return CausalClass.TIMELIKE if q < 0.0 else CausalClass.SPACELIKE
-
-
-def classification_margin(x: MVec3, tol: Tolerances = DEFAULT_TOL) -> float:
-    """|<<x,x>>| in units of the lightlike band; values below 10 are suspect."""
-    if x.is_zero():
-        return math.inf
-    q = minkowski_product(x, x)
-    scale = max(1.0, x.x1 * x.x1 + x.x2 * x.x2 + x.x3 * x.x3)
-    return abs(q) / (tol.eps_light * scale)
 
 
 def normalize(x: MVec3, tol: Tolerances = DEFAULT_TOL) -> MVec3:

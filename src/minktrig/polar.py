@@ -20,11 +20,16 @@ from .mink import (
     classify_vector,
     cross,
     det3,
-    j_transform,
     minkowski_norm,
 )
 from .surfaces import Component, SegmentKind
-from .triangles import ProperKind, Triangle, TriangleClass, TriangleFamily
+from .triangles import (
+    ProperKind,
+    Triangle,
+    TriangleClass,
+    TriangleFamily,
+    is_degenerate,
+)
 
 REASON_OPPOSITE = "OppositeVertices"
 REASON_LIGHTLIKE = "LightlikeSidePlane"
@@ -57,29 +62,11 @@ def polar_triangle(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> PolarResult:
     exists, reason = polar_exists(t, tol)
     if not exists:
         raise PolarNonExistent(reason)
-    A, B, C = (v.coords for v in t.vertices())
-    d = det3(A, B, C)
-    scale = A.euclid_norm() * B.euclid_norm() * C.euclid_norm()
-    if abs(d) <= tol.eps_degen * scale:
+    if is_degenerate(t, tol):
         return PolarResult(vertices=None, epsilon=0, zero_triangle=True)
-    eps = 1 if d > 0.0 else -1
+    eps = 1 if det3(*(v.coords for v in t.vertices())) > 0.0 else -1
     verts = tuple(float(eps) * n / minkowski_norm(n) for n in _side_crosses(t))
     return PolarResult(vertices=verts, epsilon=eps)
-
-
-def minkowski_polar_diagnostic(result: PolarResult) -> PolarResult:
-    """Alternative polar position with time components flipped.
-
-    Side lengths, angles, and type are unchanged; only the position moves.
-    Exposed for diagnostics, not part of the core construction.
-    """
-    if result.vertices is None:
-        return result
-    return PolarResult(
-        vertices=tuple(j_transform(v) for v in result.vertices),
-        epsilon=result.epsilon,
-        zero_triangle=result.zero_triangle,
-    )
 
 
 class PolarOutcome(Enum):

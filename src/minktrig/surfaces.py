@@ -81,7 +81,11 @@ class SegmentKind(Enum):
 def classify_point(
     x: MVec3, tol: Tolerances = DEFAULT_TOL
 ) -> Union[SurfacePoint, OffSurface]:
-    """Tag x with its quadric component, or report OffSurface."""
+    """Tag x with its quadric component, or report OffSurface.
+
+    A NaN or infinite coordinate makes the self-product NaN or infinite, so
+    such an x is reported OffSurface.
+    """
     q = minkowski_product(x, x)
     if abs(q + 1.0) <= tol.eps_surf:
         comp = Component.H2 if x.x1 > 0.0 else Component.NEG_H2

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .constants import DEFAULT_TOL, Tolerances
 from .errors import (
     DegenerateSpan,
@@ -30,7 +28,6 @@ from .surfaces import (
     points_equal,
     segment_kind,
     surface_point,
-    tangent_vector,
 )
 
 SIDE_LABELS = ("a", "b", "c")
@@ -108,43 +105,30 @@ def is_degenerate(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> bool:
     return abs(det3(A, B, C)) <= tol.eps_degen * scale
 
 
-def _spacelike_arc_samples(p: SurfacePoint, q: SurfacePoint, n: int,
-                           tol: Tolerances) -> np.ndarray:
-    length = distance(p, q, tol)
-    x = tangent_vector(p, q, tol)
-    ts = np.linspace(0.0, length, n, endpoint=False)
-    return (np.outer(np.cos(ts), p.coords.as_array())
-            + np.outer(np.sin(ts), x.as_array()))
+def _winding_number(t: Triangle) -> int:
+    """Winding of the projected boundary loop A -> B -> C -> A about the origin
+    of the x2-x3 plane.
 
-
-def _winding_number(t: Triangle, samples_per_side: int, tol: Tolerances) -> int:
-    """Winding of the projected boundary loop about the origin of the x2-x3 plane.
-
-    Spacelike arcs project to curves of radius >= 1, so the origin is never
-    approached; samples are refined if any angle increment exceeds pi/2.
+    A spacelike side is shorter than pi and projects to less than half of an
+    origin-centred ellipse, so its signed sweep is the angle between its
+    projected endpoints, which atan2 returns in (-pi, pi).
     """
-    n = samples_per_side
-    while True:
-        arcs = [_spacelike_arc_samples(p, q, n, tol)
-                for p, q in ((t.A, t.B), (t.B, t.C), (t.C, t.A))]
-        loop = np.vstack(arcs)
-        ang = np.arctan2(loop[:, 2], loop[:, 1])
-        steps = np.diff(np.append(ang, ang[0]))
-        steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
-        if np.max(np.abs(steps)) <= np.pi / 2 or n >= 4096:
-            return int(round(steps.sum() / (2.0 * np.pi)))
-        n *= 2
+    A, B, C = (v.coords for v in t.vertices())
+    sweep = sum(
+        math.atan2(p.x2 * q.x3 - p.x3 * q.x2, p.x2 * q.x2 + p.x3 * q.x3)
+        for p, q in ((A, B), (B, C), (C, A))
+    )
+    return round(sweep / (2.0 * math.pi))
 
 
-def is_contractible(t: Triangle, tol: Tolerances = DEFAULT_TOL,
-                    samples_per_side: int = 256) -> bool:
+def is_contractible(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the projected boundary does not wind around the origin."""
     kinds = [segment_kind(p, q, tol) for p, q in t.side_endpoints()]
     if any(k is not SegmentKind.DE_SITTER_SPACELIKE for k in kinds):
         raise NotSpatiolateral("contractibility is defined for spatiolateral triangles")
     if is_degenerate(t, tol):
         raise DegenerateTriangle("contractibility is undefined for degenerate triangles")
-    return _winding_number(t, samples_per_side, tol) == 0
+    return _winding_number(t) == 0
 
 
 _KIND_TABLE = {

@@ -1,9 +1,11 @@
 """Laws of cosines, laws of sines, and sum theorems for the four triangle families.
 
 Supported families: hyperbolic (and antipodal hyperbolic), spatiolateral
-non-contractible, spatiolateral contractible, and tempolateral, each with its
-own sign pattern.  Sides and angles are measured independently with distance()
-and angle(); the laws are then evaluated as residuals, never solved.
+non-contractible, spatiolateral contractible, and tempolateral.  Their laws
+differ only in which of cos/cosh and sin/sinh apply to sides and to angles and
+in their sign patterns, so they are stated once, as rows of the ``_LAWS`` table.
+Sides and angles are measured independently with distance() and angle(); the
+laws are then evaluated as residuals, never solved.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .constants import DEFAULT_TOL, Tolerances
 from .errors import DegenerateTriangle, UnsupportedFamily
@@ -140,87 +142,65 @@ def measure(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> TriangleMeasurements:
     )
 
 
+class _Laws(NamedTuple):
+    """One family's laws of cosines and sines, as functions and signs.
+
+    With (i; j, k) running over (a; b, c), (b; a, c), (c; a, b), and with
+    sc, ss, ac, as the side and angle cos/sin pairs of the row, the laws read
+
+        sc(i) = sc(j) sc(k) + lcs[i] ac(i) ss(j) ss(k)
+        ac(i) = lca_product ac(j) ac(k) + lca[i] sc(i) as(j) as(k)
+        as(i) / ss(i) is the same for i = a, b, c.
+    """
+
+    side_cos: Callable[[float], float]
+    side_sin: Callable[[float], float]
+    angle_cos: Callable[[float], float]
+    angle_sin: Callable[[float], float]
+    lcs: tuple
+    lca_product: float
+    lca: tuple
+
+
+# Sign triples are in side order a, b, c.  measure() puts the contractible
+# spatiolateral anchor and the tempolateral apex at A, so side a is where those
+# two rows break their pattern.
+_LAWS = {
+    LawFamily.HYP: _Laws(math.cosh, math.sinh, math.cos, math.sin,
+                         (-1.0, -1.0, -1.0), -1.0, (1.0, 1.0, 1.0)),
+    LawFamily.SPATIO_NC: _Laws(math.cos, math.sin, math.cosh, math.sinh,
+                               (-1.0, -1.0, -1.0), 1.0, (1.0, 1.0, 1.0)),
+    LawFamily.SPATIO_C: _Laws(math.cos, math.sin, math.cosh, math.sinh,
+                              (-1.0, 1.0, 1.0), 1.0, (1.0, -1.0, -1.0)),
+    LawFamily.TEMPO: _Laws(math.cosh, math.sinh, math.cosh, math.sinh,
+                           (1.0, -1.0, -1.0), 1.0, (1.0, -1.0, -1.0)),
+}
+
+# each index with the other two in increasing order
+_ORDERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
+
 def lcs_residuals(m: TriangleMeasurements) -> tuple:
     """Residuals of the three law-of-cosines-for-sides equations."""
-    a, b, c = m.sides
-    al, be, ga = m.angles
-    if m.family is LawFamily.HYP:
-        return (
-            abs(math.cosh(a) - (math.cosh(b) * math.cosh(c)
-                                - math.cos(al) * math.sinh(b) * math.sinh(c))),
-            abs(math.cosh(b) - (math.cosh(a) * math.cosh(c)
-                                - math.cos(be) * math.sinh(a) * math.sinh(c))),
-            abs(math.cosh(c) - (math.cosh(a) * math.cosh(b)
-                                - math.cos(ga) * math.sinh(a) * math.sinh(b))),
-        )
-    if m.family is LawFamily.SPATIO_NC:
-        return (
-            abs(math.cos(a) - (math.cos(b) * math.cos(c)
-                               - math.cosh(al) * math.sin(b) * math.sin(c))),
-            abs(math.cos(b) - (math.cos(a) * math.cos(c)
-                               - math.cosh(be) * math.sin(a) * math.sin(c))),
-            abs(math.cos(c) - (math.cos(a) * math.cos(b)
-                               - math.cosh(ga) * math.sin(a) * math.sin(b))),
-        )
-    if m.family is LawFamily.SPATIO_C:
-        # minus sign at the anchored side a, plus signs at b and c
-        return (
-            abs(math.cos(a) - (math.cos(b) * math.cos(c)
-                               - math.cosh(al) * math.sin(b) * math.sin(c))),
-            abs(math.cos(b) - (math.cos(a) * math.cos(c)
-                               + math.cosh(be) * math.sin(a) * math.sin(c))),
-            abs(math.cos(c) - (math.cos(a) * math.cos(b)
-                               + math.cosh(ga) * math.sin(a) * math.sin(b))),
-        )
-    # tempolateral: plus sign at the apex's opposite side a only
-    return (
-        abs(math.cosh(a) - (math.cosh(b) * math.cosh(c)
-                            + math.cosh(al) * math.sinh(b) * math.sinh(c))),
-        abs(math.cosh(b) - (math.cosh(a) * math.cosh(c)
-                            - math.cosh(be) * math.sinh(a) * math.sinh(c))),
-        abs(math.cosh(c) - (math.cosh(a) * math.cosh(b)
-                            - math.cosh(ga) * math.sinh(a) * math.sinh(b))),
+    law = _LAWS[m.family]
+    cs = [law.side_cos(x) for x in m.sides]
+    ss = [law.side_sin(x) for x in m.sides]
+    return tuple(
+        abs(cs[i] - (cs[j] * cs[k]
+                     + law.lcs[i] * law.angle_cos(m.angles[i]) * ss[j] * ss[k]))
+        for i, j, k in _ORDERS
     )
 
 
 def lca_residuals(m: TriangleMeasurements) -> tuple:
     """Residuals of the three law-of-cosines-for-angles equations."""
-    a, b, c = m.sides
-    al, be, ga = m.angles
-    if m.family is LawFamily.HYP:
-        return (
-            abs(math.cos(al) - (-math.cos(be) * math.cos(ga)
-                                + math.cosh(a) * math.sin(be) * math.sin(ga))),
-            abs(math.cos(be) - (-math.cos(al) * math.cos(ga)
-                                + math.cosh(b) * math.sin(al) * math.sin(ga))),
-            abs(math.cos(ga) - (-math.cos(al) * math.cos(be)
-                                + math.cosh(c) * math.sin(al) * math.sin(be))),
-        )
-    if m.family is LawFamily.SPATIO_NC:
-        return (
-            abs(math.cosh(al) - (math.cosh(be) * math.cosh(ga)
-                                 + math.cos(a) * math.sinh(be) * math.sinh(ga))),
-            abs(math.cosh(be) - (math.cosh(al) * math.cosh(ga)
-                                 + math.cos(b) * math.sinh(al) * math.sinh(ga))),
-            abs(math.cosh(ga) - (math.cosh(al) * math.cosh(be)
-                                 + math.cos(c) * math.sinh(al) * math.sinh(be))),
-        )
-    if m.family is LawFamily.SPATIO_C:
-        return (
-            abs(math.cosh(al) - (math.cosh(be) * math.cosh(ga)
-                                 + math.cos(a) * math.sinh(be) * math.sinh(ga))),
-            abs(math.cosh(be) - (math.cosh(al) * math.cosh(ga)
-                                 - math.cos(b) * math.sinh(al) * math.sinh(ga))),
-            abs(math.cosh(ga) - (math.cosh(al) * math.cosh(be)
-                                 - math.cos(c) * math.sinh(al) * math.sinh(be))),
-        )
-    return (
-        abs(math.cosh(al) - (math.cosh(be) * math.cosh(ga)
-                             + math.cosh(a) * math.sinh(be) * math.sinh(ga))),
-        abs(math.cosh(be) - (math.cosh(al) * math.cosh(ga)
-                             - math.cosh(b) * math.sinh(al) * math.sinh(ga))),
-        abs(math.cosh(ga) - (math.cosh(al) * math.cosh(be)
-                             - math.cosh(c) * math.sinh(al) * math.sinh(be))),
+    law = _LAWS[m.family]
+    ca = [law.angle_cos(x) for x in m.angles]
+    sa = [law.angle_sin(x) for x in m.angles]
+    return tuple(
+        abs(ca[i] - (law.lca_product * ca[j] * ca[k]
+                     + law.lca[i] * law.side_cos(m.sides[i]) * sa[j] * sa[k]))
+        for i, j, k in _ORDERS
     )
 
 
@@ -233,20 +213,11 @@ def sines_ratios(m: TriangleMeasurements) -> tuple:
     spatiolateral and tempolateral families carries a minus sign; that sign
     cancels against the signed angle and is not observable in magnitudes.
     """
-    a, b, c = m.sides
-    al, be, ga = m.angles
-    if m.family is LawFamily.HYP:
-        dens = (math.sinh(a), math.sinh(b), math.sinh(c))
-        nums = (math.sin(al), math.sin(be), math.sin(ga))
-    elif m.family in (LawFamily.SPATIO_NC, LawFamily.SPATIO_C):
-        dens = (math.sin(a), math.sin(b), math.sin(c))
-        nums = (math.sinh(al), math.sinh(be), math.sinh(ga))
-    else:
-        dens = (math.sinh(a), math.sinh(b), math.sinh(c))
-        nums = (math.sinh(al), math.sinh(be), math.sinh(ga))
+    law = _LAWS[m.family]
+    dens = [law.side_sin(x) for x in m.sides]
     if any(abs(d) < 1e-300 for d in dens):
         raise DegenerateTriangle("law of sines has a vanishing denominator")
-    return tuple(n / d for n, d in zip(nums, dens))
+    return tuple(law.angle_sin(x) / d for x, d in zip(m.angles, dens))
 
 
 def angle_sum_check(m: TriangleMeasurements) -> float:

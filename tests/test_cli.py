@@ -61,6 +61,18 @@ class TestClassify:
         code, _, _ = run_cli(capsys, monkeypatch, ["classify"], stdin=payload)
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["classify", "polar"])
+    @pytest.mark.parametrize("coordinate", ["NaN", "Infinity", "-Infinity", "true"])
+    def test_non_finite_or_bool_coordinate_exit_2(self, capsys, monkeypatch,
+                                                  command, coordinate):
+        # json reads NaN and Infinity as floats, and true would make e1
+        payload = ('{"schema": "minktrig/1", "vertices": '
+                   f'[[{coordinate}, 0, 0], [0, 1, 0], [0, 0, 1]]}}')
+        code, out, err = run_cli(capsys, monkeypatch, [command], stdin=payload)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error")
+
     def test_unknown_field_rejected_in_strict(self, capsys, monkeypatch):
         data = json.loads(CHRONO)
         data["extra"] = 1
@@ -131,6 +143,14 @@ class TestVerify:
         )
         assert code == EXIT_VERIFY
 
+    def test_zero_count_exit_2(self, capsys, monkeypatch):
+        code, _, err = run_cli(
+            capsys, monkeypatch,
+            ["verify", "--sample", "hyperbolic", "--count", "0"],
+        )
+        assert code == EXIT_INPUT
+        assert err.startswith("input error: --count")
+
     def test_unsupported_family_exit_3(self, capsys, monkeypatch):
         code, _, _ = run_cli(capsys, monkeypatch, ["verify"], stdin=CHRONO)
         assert code == EXIT_DOMAIN
@@ -153,6 +173,17 @@ class TestExportGeodesic:
         assert first[:3] == pytest.approx([0.0, 1.0, 0.0])
         assert last[:3] == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
         assert last[3] == pytest.approx(math.pi / 2)
+
+    def test_negative_samples_exit_2(self, capsys, monkeypatch):
+        payload = json.dumps({"schema": "minktrig/1",
+                              "a": [0, 1, 0], "b": [0, 0, 1]})
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["export-geodesic", "--samples", "-3"],
+            stdin=payload,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error: --samples")
 
     def test_empty_segment_exit_3(self, capsys, monkeypatch):
         payload = json.dumps({"schema": "minktrig/1",
@@ -178,3 +209,12 @@ class TestSample:
                                      stdin=payload)
             assert code2 == EXIT_OK
             assert json.loads(out2)["proper_kind"] == "chronosceles"
+
+    def test_negative_count_exit_2(self, capsys, monkeypatch):
+        code, out, err = run_cli(
+            capsys, monkeypatch,
+            ["sample", "--family", "hyperbolic", "--count", "-1"],
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error: --count")

@@ -5,11 +5,10 @@ import math
 import pytest
 
 from minktrig.errors import PolarNonExistent
-from minktrig.mink import minkowski_product
+from minktrig.mink import j_transform, minkowski_product
 from minktrig.polar import (
     REASON_LIGHTLIKE,
     REASON_OPPOSITE,
-    minkowski_polar_diagnostic,
     polar_exists,
     polar_triangle,
     predict_polar_type,
@@ -101,16 +100,17 @@ class TestConstruction:
 
 class TestMinkowskiDiagnostic:
     def test_preserves_lengths_and_type(self):
+        # J moves the polar vertices to the alternative Minkowski position
         res = polar_triangle(HYP_FIXTURE)
-        alt = minkowski_polar_diagnostic(res)
+        alt = tuple(j_transform(v) for v in res.vertices)
         pts = [surface_point(v) for v in res.vertices]
-        alt_pts = [surface_point(v) for v in alt.vertices]
+        alt_pts = [surface_point(v) for v in alt]
         for (i, j) in ((0, 1), (1, 2), (0, 2)):
             assert distance(alt_pts[i], alt_pts[j]) == pytest.approx(
                 distance(pts[i], pts[j]), abs=1e-12
             )
         c1, _ = classify_triangle(Triangle.from_vectors(*res.vertices))
-        c2, _ = classify_triangle(Triangle.from_vectors(*alt.vertices))
+        c2, _ = classify_triangle(Triangle.from_vectors(*alt))
         assert (c1.family, c1.proper_kind) == (c2.family, c2.proper_kind)
 
 

@@ -68,6 +68,14 @@ class TestClassifyPoint:
         with pytest.raises(OffSurfaceError):
             surface_point(vec(0.5, 0, 0))
 
+    @pytest.mark.parametrize("coords", [
+        (math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0), (0.0, -math.inf, 0.0),
+        (math.inf, math.inf, 0.0),
+    ])
+    def test_non_finite_coordinates_are_off_surface(self, coords):
+        with pytest.raises(OffSurfaceError):
+            surface_point(MVec3(*coords))
+
 
 class TestDistance:
     def test_chronosceles_legs(self):

@@ -8,6 +8,7 @@ from minktrig.errors import (
     DegenerateTriangle,
     DuplicateVertices,
     NotSpatiolateral,
+    OffSurfaceError,
 )
 from minktrig.mink import E2, E3, apply_matrix, random_lorentz
 from minktrig.samplers import SampleSpec, sample_triangle
@@ -102,6 +103,17 @@ class TestContractibility:
             pts.append((math.sinh(s), math.cosh(s) * math.cos(th),
                         math.cosh(s) * math.sin(th)))
         assert not is_contractible(tri(*pts))
+
+    def test_reversed_orientation_keeps_verdict(self):
+        # reversing the loop negates the winding number, so 0 stays 0
+        for fam in ("spatiolateral_contractible", "spatiolateral_noncontractible"):
+            for t in sample_triangle(SampleSpec(family=fam, count=20, seed=9)):
+                reverse = Triangle(t.C, t.B, t.A)
+                assert is_contractible(reverse) == is_contractible(t)
+
+    def test_infinite_vertex_is_off_surface(self):
+        with pytest.raises(OffSurfaceError):
+            tri((0, 1, 0), (0, 0, 1), (math.inf, 1, 0))
 
     def test_requires_spatiolateral(self):
         with pytest.raises(NotSpatiolateral):
