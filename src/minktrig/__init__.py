@@ -14,17 +14,12 @@ from .errors import MinkTrigError
 from .mink import (
     CausalClass,
     MVec3,
-    PlaneClass,
-    classify_plane,
     classify_vector,
     cross,
     det3,
-    is_lorentz,
     j_transform,
-    lorentz_orthogonal_basis,
     minkowski_norm,
     minkowski_product,
-    normalize,
     random_lorentz,
 )
 from .polar import PolarResult, polar_exists, polar_triangle, predict_polar_type

@@ -175,8 +175,10 @@ def _verify_triangles(args) -> list:
 
 
 def cmd_verify(args) -> int:
-    triangles = _verify_triangles(args)
     bound = args.tolerance
+    if not bound >= 0.0:  # also refuses NaN, which JSON cannot carry
+        raise InputError(f"--tolerance must be a non-negative number, got {bound}")
+    triangles = _verify_triangles(args)
     reports = []
     failures = 0
     worst = 0.0

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 class Tolerances:
     # causal classification band, relative to max(1, Euclidean norm^2)
     eps_light: float = 1e-9
-    # Lorentz-matrix check M^T J M = J
-    eps_mat: float = 1e-9
     # membership on the unit quadric |<<x,x>>| = 1
     eps_surf: float = 1e-9
     # clamp band for arccos/arcosh arguments at their domain boundary

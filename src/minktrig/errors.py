@@ -5,14 +5,6 @@ class MinkTrigError(Exception):
     """Base class for all library errors."""
 
 
-class LightlikeNormalization(MinkTrigError):
-    """Attempted to normalize a lightlike or zero vector."""
-
-
-class DegenerateSpan(MinkTrigError):
-    """Two vectors expected to span a plane are linearly dependent."""
-
-
 class OffSurfaceError(MinkTrigError):
     """A coordinate vector is not on any component of the unit quadric."""
 

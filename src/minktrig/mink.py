@@ -15,7 +15,6 @@ from enum import Enum
 import numpy as np
 
 from .constants import DEFAULT_TOL, Tolerances
-from .errors import DegenerateSpan, LightlikeNormalization
 
 J_MATRIX = np.diag([-1.0, 1.0, 1.0])
 
@@ -73,12 +72,6 @@ class CausalClass(Enum):
     SPACELIKE = "spacelike"
 
 
-class PlaneClass(Enum):
-    SPACELIKE = "spacelike"
-    LIGHTLIKE = "lightlike"
-    TIMELIKE = "timelike"
-
-
 def minkowski_product(x: MVec3, y: MVec3) -> float:
     return -x.x1 * y.x1 + x.x2 * y.x2 + x.x3 * y.x3
 
@@ -102,12 +95,6 @@ def classify_vector(x: MVec3, tol: Tolerances = DEFAULT_TOL) -> CausalClass:
     return CausalClass.TIMELIKE if q < 0.0 else CausalClass.SPACELIKE
 
 
-def normalize(x: MVec3, tol: Tolerances = DEFAULT_TOL) -> MVec3:
-    if classify_vector(x, tol) is CausalClass.LIGHTLIKE or x.is_zero():
-        raise LightlikeNormalization(f"cannot normalize {x.as_tuple()}")
-    return x / minkowski_norm(x)
-
-
 def cross(x: MVec3, y: MVec3) -> MVec3:
     """Euclidean cross product.  J(x cross y) is Minkowski-orthogonal to x and y."""
     return MVec3(
@@ -125,13 +112,6 @@ def j_transform(x: MVec3) -> MVec3:
 def det3(a: MVec3, b: MVec3, c: MVec3) -> float:
     """Determinant of the matrix with columns a, b, c; equals <a x b, c> (Euclidean)."""
     return euclid_dot(cross(a, b), c)
-
-
-def is_lorentz(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        return False
-    return bool(np.max(np.abs(m.T @ J_MATRIX @ m - J_MATRIX)) <= tol.eps_mat)
 
 
 def apply_matrix(m: np.ndarray, x: MVec3) -> MVec3:
@@ -166,56 +146,3 @@ def random_lorentz(
     if not orthochronous and rng.random() < 0.5:
         m = J_MATRIX @ m
     return m
-
-
-def lorentz_orthogonal_basis(
-    u: MVec3, v: MVec3, tol: Tolerances = DEFAULT_TOL
-) -> tuple:
-    """Minkowski-orthogonal basis (b1, b2) of span(u, v) with b1 spacelike.
-
-    Tie-breaking is deterministic: b1 is the input with the larger self-product;
-    if neither input is spacelike, one of u+v, u-v is taken instead.
-    """
-    n = cross(u, v)
-    scale = max(u.euclid_norm() * v.euclid_norm(), 1e-300)
-    if n.euclid_norm() <= 1e-12 * scale:
-        raise DegenerateSpan("spanning vectors are linearly dependent")
-
-    qu = minkowski_product(u, u)
-    qv = minkowski_product(v, v)
-    candidates = [u, v] if qu >= qv else [v, u]
-    candidates += [u + v, u - v]
-    puv = minkowski_product(u, v)
-    if qv < 0.0:
-        # maximizer of <<u + t v, u + t v>> over t; positive for any plane
-        # that contains spacelike vectors at all
-        candidates.append(u - (puv / qv) * v)
-    elif qv == 0.0 and puv != 0.0:
-        t_lin = (1.0 + abs(qu)) / (2.0 * abs(puv))
-        candidates.append(u + math.copysign(t_lin, puv) * v)
-    b1 = next(
-        c for c in candidates if classify_vector(c, tol) is CausalClass.SPACELIKE
-        and not c.is_zero()
-    )
-    # project away the b1 component from whichever input is independent of b1
-    other = u if cross(u, b1).euclid_norm() > cross(v, b1).euclid_norm() else v
-    b2 = other - (minkowski_product(other, b1) / minkowski_product(b1, b1)) * b1
-    return b1, b2
-
-
-def classify_plane(u: MVec3, v: MVec3, tol: Tolerances = DEFAULT_TOL) -> PlaneClass:
-    """Classify span(u, v) via its Minkowski normal J(u cross v).
-
-    The plane is spacelike iff the normal is timelike, timelike iff the normal
-    is spacelike, lightlike iff the normal is lightlike.
-    """
-    n = cross(u, v)
-    scale = max(u.euclid_norm() * v.euclid_norm(), 1e-300)
-    if n.euclid_norm() <= 1e-12 * scale:
-        raise DegenerateSpan("spanning vectors are linearly dependent")
-    kind = classify_vector(j_transform(n), tol)
-    if kind is CausalClass.TIMELIKE:
-        return PlaneClass.SPACELIKE
-    if kind is CausalClass.SPACELIKE:
-        return PlaneClass.TIMELIKE
-    return PlaneClass.LIGHTLIKE

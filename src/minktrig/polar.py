@@ -3,32 +3,29 @@
 The polar vertex opposite A is the signed, normalized Euclidean cross product
 of B and C, with the sign taken from the determinant of the vertex matrix.
 Construction fails exactly when some cross product is zero (opposite
-vertices) or lightlike (a side plane is lightlike).
+vertices) or lightlike (a side plane is lightlike).  Both verdicts, the
+normaliser sqrt|<<B x C, B x C>>| and the sign are read off the triangle's
+geometry, the same values its classification reads, so a side cannot be
+lightlike for one and not for the other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .constants import DEFAULT_TOL, Tolerances
 from .errors import PolarNonExistent
-from .mink import (
-    CausalClass,
-    MVec3,
-    classify_vector,
-    cross,
-    det3,
-    minkowski_norm,
-)
 from .surfaces import Component, SegmentKind
 from .triangles import (
     ProperKind,
     Triangle,
     TriangleClass,
     TriangleFamily,
-    is_degenerate,
+    _geometry,
+    _Geometry,
 )
 
 REASON_OPPOSITE = "OppositeVertices"
@@ -42,30 +39,34 @@ class PolarResult:
     zero_triangle: bool = False
 
 
-def _side_crosses(t: Triangle) -> tuple:
-    A, B, C = (v.coords for v in t.vertices())
-    return cross(B, C), cross(C, A), cross(A, B)
-
-
-def polar_exists(t: Triangle, tol: Tolerances = DEFAULT_TOL):
-    """(exists, reason); reason is None when the polar triangle exists."""
-    for n in _side_crosses(t):
-        if n.is_zero() or n.euclid_norm() <= 1e-12:
+def _exists(g: _Geometry):
+    for s in g.sides:
+        if s.opposite:
             return False, REASON_OPPOSITE
-        if classify_vector(n, tol) is CausalClass.LIGHTLIKE:
+        if s.lightlike:
             return False, REASON_LIGHTLIKE
     return True, None
 
 
+def polar_exists(t: Triangle, tol: Tolerances = DEFAULT_TOL):
+    """(exists, reason); reason is None when the polar triangle exists."""
+    return _exists(_geometry(t, tol))
+
+
 def polar_triangle(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> PolarResult:
     """Polar triangle of t, or the zero triangle when t is degenerate."""
-    exists, reason = polar_exists(t, tol)
+    g = _geometry(t, tol)
+    exists, reason = _exists(g)
     if not exists:
         raise PolarNonExistent(reason)
-    if is_degenerate(t, tol):
+    if g.degenerate:
         return PolarResult(vertices=None, epsilon=0, zero_triangle=True)
-    eps = 1 if det3(*(v.coords for v in t.vertices())) > 0.0 else -1
-    verts = tuple(float(eps) * n / minkowski_norm(n) for n in _side_crosses(t))
+    eps = 1 if g.det > 0.0 else -1
+    a, b, c = g.sides
+    # B x C, C x A, A x B; side b runs from A to C
+    crosses = (a.cross, -b.cross, c.cross)
+    verts = tuple(float(eps) * n / math.sqrt(abs(s.n2))
+                  for n, s in zip(crosses, g.sides))
     return PolarResult(vertices=verts, epsilon=eps)
 
 

@@ -19,18 +19,12 @@ from .constants import DEFAULT_TOL, Tolerances
 from .errors import (
     EmptySegment,
     LightlikeSegment,
+    MinkTrigError,
+    ParamOutOfRange,
     RejectionBudgetExhausted,
     UnsupportedFamily,
 )
-from .mink import (
-    CausalClass,
-    E2,
-    MVec3,
-    apply_matrix,
-    classify_vector,
-    det3,
-    random_lorentz,
-)
+from .mink import E2, MVec3, apply_matrix, random_lorentz
 from .surfaces import (
     Component,
     SegmentKind,
@@ -40,12 +34,7 @@ from .surfaces import (
     surface_point,
     tangent_vector,
 )
-from .triangles import (
-    ProperKind,
-    Triangle,
-    TriangleFamily,
-    classify_triangle,
-)
+from .triangles import ProperKind, Triangle, TriangleFamily, _classify, _Geometry
 
 # sampleable family names, used by SampleSpec and the CLI
 FAMILIES = (
@@ -80,7 +69,7 @@ class SampleSpec:
         if self.family not in FAMILIES:
             raise UnsupportedFamily(f"unknown family {self.family!r}")
         if self.count < 1:
-            raise ValueError("count must be at least 1")
+            raise ParamOutOfRange(f"count must be at least 1, got {self.count}")
 
 
 def sample_point(
@@ -104,18 +93,17 @@ def sample_point(
     return surface_point(x, tol)
 
 
-def _well_conditioned(t: Triangle, tol: Tolerances) -> bool:
+def _well_conditioned(t: Triangle, g: _Geometry) -> bool:
     """Reject triangles too close to degeneracy for 1e-9 residual targets."""
     A, B, C = (v.coords for v in t.vertices())
     scale = A.euclid_norm() * B.euclid_norm() * C.euclid_norm()
-    if abs(det3(A, B, C)) < 1e-3 * scale:
+    if abs(g.det) < 1e-3 * scale:
         return False
-    for p, q in t.side_endpoints():
-        d = distance(p, q, tol)
+    for s in g.sides:
+        d = s.length
         if math.isfinite(d) and d < 0.05:
             return False
-        kind = segment_kind(p, q, tol)
-        if kind is SegmentKind.DE_SITTER_SPACELIKE and d > math.pi - 0.05:
+        if s.kind is SegmentKind.DE_SITTER_SPACELIKE and d > math.pi - 0.05:
             return False
     return True
 
@@ -242,7 +230,7 @@ def _impossible_candidate(rng, spec, tol):
 
 
 def _accepts(spec: SampleSpec, t: Triangle, tol: Tolerances) -> bool:
-    cls, _ = classify_triangle(t, tol)
+    cls, _, g = _classify(t, tol)
     fam = spec.family
     if fam == "strange":
         return cls.family is TriangleFamily.STRANGE
@@ -264,7 +252,7 @@ def _accepts(spec: SampleSpec, t: Triangle, tol: Tolerances) -> bool:
     if fam in ("photosceles_spacelike_base", "photosceles_timelike_base",
                "bimetrical_chorosceles", "bimetrical_chronosceles", "multiple"):
         return True  # lightlike sides defeat the generic conditioning guard
-    return _well_conditioned(t, tol)
+    return _well_conditioned(t, g)
 
 
 _CANDIDATES: dict = {
@@ -298,7 +286,7 @@ def sample_triangle(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL) -> List[Tri
         budget.spend()
         try:
             t = maker(rng, spec, tol)
-        except Exception:
+        except MinkTrigError:
             continue
         if _accepts(spec, t, tol):
             out.append(t)
@@ -340,15 +328,9 @@ def sample_segment(
         b = sample_point(comp, rng, cap, tol)
         try:
             k = segment_kind(a, b, tol)
-        except Exception:
+        except MinkTrigError:
             continue
         if k is kind:
-            if k is SegmentKind.DE_SITTER_TIMELIKE:
-                # keep only pairs whose hyperbola parametrization reaches b at
-                # t = distance, i.e. the timelike-difference branch
-                diff = a.coords - b.coords
-                if classify_vector(diff, tol) is not CausalClass.TIMELIKE:
-                    continue
             d = distance(a, b, tol)
             if 0.05 < d < (math.pi - 0.05 if k is SegmentKind.DE_SITTER_SPACELIKE
                            else math.inf):

@@ -2,9 +2,21 @@
 
 The quadric |<<x,x>>| = 1 has three components: the forward hyperboloid sheet
 (containing e1), the backward sheet, and the one-sheeted hyperboloid between
-them (the Lorentzian component).  Distances on the Lorentzian component follow
-a four-case definition dispatching on the causal class of the difference
-vector; cross-component distances are infinite.
+them (the Lorentzian component).  Cross-component distances are infinite.
+
+Every verdict on a segment from a to b is read off two numbers: the product
+p = <<a,b>> and n2 = <<a x b, a x b>>, which equals p^2 - <<a,a>><<b,b>> by the
+Lorentzian Binet-Cauchy identity.  Across components the segment is empty.  On
+the Lorentzian component it is empty when p <= -1; otherwise the plane
+span(a, b) is lightlike when n2 is within the light band, and the segment is
+lightlike with length 0, timelike with length arcosh p when p > 1, and
+spacelike with length arccos p in between.  On a sheet its length is
+arcosh(-p).  sqrt|n2| normalises the tangent vectors.  segment_kind, distance
+and tangent_vector are views of that one rule, so they cannot disagree.
+
+n2 is evaluated from the cross product rather than as p^2 - <<a,a>><<b,b>>: on
+a short side p is close to 1 and that difference loses the digits the cross
+product keeps.
 """
 
 from __future__ import annotations
@@ -12,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 from .constants import DEFAULT_TOL, Tolerances
 from .errors import (
@@ -27,16 +39,7 @@ from .errors import (
     OffSurfaceError,
     ParamOutOfRange,
 )
-from .mink import (
-    CausalClass,
-    MVec3,
-    PlaneClass,
-    classify_plane,
-    classify_vector,
-    cross,
-    minkowski_norm,
-    minkowski_product,
-)
+from .mink import MVec3, cross, euclid_dot, minkowski_norm, minkowski_product
 
 _POINT_EQ_TOL = 1e-12
 
@@ -129,48 +132,70 @@ def _clamped_arccos(arg: float, tol: Tolerances) -> float:
     return math.acos(arg)
 
 
+class _Side(NamedTuple):
+    """Every verdict on the segment from a to b, read off p and n2."""
+
+    kind: SegmentKind
+    length: float
+    p: float  # <<a, b>>
+    cross: MVec3  # a x b
+    n2: float  # <<a x b, a x b>>
+    lightlike: bool  # span(a, b) is a lightlike plane
+    opposite: bool  # a = -b
+
+
+def _side(a: SurfacePoint, b: SurfacePoint, tol: Tolerances) -> _Side:
+    A, B = a.coords, b.coords
+    p = minkowski_product(A, B)
+    n = cross(A, B)
+    n2 = minkowski_product(n, n)
+    equal = points_equal(a, b)
+    opposite = points_antipodal(a, b)
+    lightlike = (not (equal or opposite)
+                 and abs(n2) <= tol.eps_light * max(1.0, euclid_dot(n, n)))
+    if equal:
+        kind, length = SegmentKind.POINT, 0.0
+    elif opposite or a.component is not b.component:
+        kind, length = SegmentKind.EMPTY, math.inf
+    elif a.component is Component.H2:
+        kind, length = SegmentKind.HYPERBOLIC, _clamped_arcosh(-p, tol)
+    elif a.component is Component.NEG_H2:
+        kind, length = SegmentKind.ANTIPODAL_HYPERBOLIC, _clamped_arcosh(-p, tol)
+    elif p <= -1.0:
+        kind, length = SegmentKind.EMPTY, math.inf
+    elif lightlike:
+        kind, length = SegmentKind.DE_SITTER_LIGHTLIKE, 0.0
+    elif p > 1.0:
+        kind, length = SegmentKind.DE_SITTER_TIMELIKE, math.acosh(p)
+    else:
+        kind, length = SegmentKind.DE_SITTER_SPACELIKE, math.acos(p)
+    return _Side(kind, length, p, n, n2, lightlike, opposite)
+
+
 def proper_distance(a: MVec3, b: MVec3, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Distance on the Lorentzian component, evaluated in the definition's case order."""
-    p = minkowski_product(a, b)
-    diff_class = classify_vector(a - b, tol)
-    if diff_class is CausalClass.TIMELIKE:
-        return _clamped_arcosh(p, tol)
-    if diff_class is CausalClass.LIGHTLIKE:
-        return 0.0
-    antipodal = (a + b).euclid_norm() <= _POINT_EQ_TOL
-    if p <= -1.0 and not antipodal:
-        return math.inf
-    return _clamped_arccos(p, tol)
+    """Distance between two points of the Lorentzian component."""
+    return _side(SurfacePoint(a, Component.DE_SITTER),
+                 SurfacePoint(b, Component.DE_SITTER), tol).length
 
 
 def distance(a: SurfacePoint, b: SurfacePoint, tol: Tolerances = DEFAULT_TOL) -> float:
     """Generalized distance; infinite across components."""
-    if a.component != b.component:
-        return math.inf
-    if a.component is Component.DE_SITTER:
-        return proper_distance(a.coords, b.coords, tol)
-    # both sheets use arcosh(-<<a,b>>); the backward sheet reduces to the
-    # forward one under negation of both points, which leaves the product fixed
-    return _clamped_arcosh(-minkowski_product(a.coords, b.coords), tol)
+    return _side(a, b, tol).length
 
 
 def segment_kind(
     a: SurfacePoint, b: SurfacePoint, tol: Tolerances = DEFAULT_TOL
 ) -> SegmentKind:
-    if points_equal(a, b):
-        return SegmentKind.POINT
-    if points_antipodal(a, b) or math.isinf(distance(a, b, tol)):
-        return SegmentKind.EMPTY
-    if a.component is Component.H2:
-        return SegmentKind.HYPERBOLIC
-    if a.component is Component.NEG_H2:
-        return SegmentKind.ANTIPODAL_HYPERBOLIC
-    plane = classify_plane(a.coords, b.coords, tol)
-    return {
-        PlaneClass.SPACELIKE: SegmentKind.DE_SITTER_SPACELIKE,
-        PlaneClass.TIMELIKE: SegmentKind.DE_SITTER_TIMELIKE,
-        PlaneClass.LIGHTLIKE: SegmentKind.DE_SITTER_LIGHTLIKE,
-    }[plane]
+    return _side(a, b, tol).kind
+
+
+def _tangent(a: SurfacePoint, b: SurfacePoint, side: _Side) -> MVec3:
+    A, B = a.coords, b.coords
+    if side.lightlike:
+        return B - A
+    p = side.p
+    num = B + p * A if a.component is not Component.DE_SITTER else B - p * A
+    return num / math.sqrt(abs(side.n2))
 
 
 def tangent_vector(
@@ -181,28 +206,14 @@ def tangent_vector(
     Normalized except when span(a, b) is lightlike, in which case it is the
     (lightlike) difference b - a.  Always Minkowski-orthogonal to a.
     """
-    if points_equal(a, b):
+    side = _side(a, b, tol)
+    if side.kind is SegmentKind.POINT:
         raise CoincidentPoints("tangent direction undefined for equal points")
-    if points_antipodal(a, b):
+    if side.opposite:
         raise AntipodalPoints("tangent direction undefined for antipodal points")
-    if math.isinf(distance(a, b, tol)):
+    if side.kind is SegmentKind.EMPTY:
         raise InfiniteSeparation("no geodesic joins points at infinite distance")
-
-    A, B = a.coords, b.coords
-    if classify_plane(A, B, tol) is PlaneClass.LIGHTLIKE:
-        return B - A
-    p = minkowski_product(A, B)
-    denom = minkowski_norm(cross(A, B))
-    hyperbolic = a.component in (Component.H2, Component.NEG_H2)
-    num = B + p * A if hyperbolic else B - p * A
-    return num / denom
-
-
-def _segment_bound(a: SurfacePoint, b: SurfacePoint, kind: SegmentKind,
-                   tol: Tolerances) -> float:
-    if kind is SegmentKind.DE_SITTER_LIGHTLIKE:
-        return 1.0
-    return distance(a, b, tol)
+    return _tangent(a, b, side)
 
 
 def segment_point(
@@ -213,7 +224,8 @@ def segment_point(
     t runs over [0, 1] for lightlike segments, [0, distance] otherwise;
     endpoints map to a and b exactly up to roundoff.
     """
-    kind = segment_kind(a, b, tol)
+    side = _side(a, b, tol)
+    kind = side.kind
     if kind is SegmentKind.EMPTY:
         raise EmptySegment("no segment joins antipodal or infinitely separated points")
     if kind is SegmentKind.POINT:
@@ -221,12 +233,12 @@ def segment_point(
             raise ParamOutOfRange("the segment of a single point has t = 0 only")
         return a.coords
 
-    T = _segment_bound(a, b, kind, tol)
+    T = 1.0 if kind is SegmentKind.DE_SITTER_LIGHTLIKE else side.length
     if t < -tol.eps_clamp or t > T + tol.eps_clamp:
         raise ParamOutOfRange(f"t = {t} outside [0, {T}]")
 
     A = a.coords
-    X = tangent_vector(a, b, tol)
+    X = _tangent(a, b, side)
     if kind is SegmentKind.DE_SITTER_LIGHTLIKE:
         return A + t * X
     if kind is SegmentKind.DE_SITTER_SPACELIKE:
@@ -234,17 +246,7 @@ def segment_point(
     return math.cosh(t) * A + math.sinh(t) * X
 
 
-_ANGLE_KINDS = (
-    SegmentKind.HYPERBOLIC,
-    SegmentKind.ANTIPODAL_HYPERBOLIC,
-    SegmentKind.DE_SITTER_SPACELIKE,
-    SegmentKind.DE_SITTER_TIMELIKE,
-)
-
-
-def _check_legs(b: SurfacePoint, a: SurfacePoint, c: SurfacePoint,
-                tol: Tolerances) -> SegmentKind:
-    kinds = (segment_kind(a, b, tol), segment_kind(a, c, tol))
+def _check_legs(kinds: tuple) -> SegmentKind:
     for k in kinds:
         if k is SegmentKind.POINT:
             raise DegenerateLeg("a leg degenerates to a point")
@@ -268,8 +270,13 @@ def angle(
     tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """Angle at vertex a between the segments toward b and toward c."""
-    kind = _check_legs(b, a, c, tol)
-    p = minkowski_product(tangent_vector(a, b, tol), tangent_vector(a, c, tol))
+    return _angle(a, b, c, _side(a, b, tol), _side(a, c, tol), tol)
+
+
+def _angle(a: SurfacePoint, b: SurfacePoint, c: SurfacePoint,
+           ab: _Side, ac: _Side, tol: Tolerances) -> float:
+    kind = _check_legs((ab.kind, ac.kind))
+    p = minkowski_product(_tangent(a, b, ab), _tangent(a, c, ac))
     return _wrap_angle(p, kind, tol)
 
 
@@ -282,7 +289,7 @@ def angle_via_cross(
     The tangent-vector product equals +-<<(AxB)^, (AxC)^>>, with the minus sign
     on the Lorentzian component and the plus sign on the hyperboloid sheets.
     """
-    kind = _check_legs(b, a, c, tol)
+    kind = _check_legs((segment_kind(a, b, tol), segment_kind(a, c, tol)))
     A, B, C = a.coords, b.coords, c.coords
     nab = cross(A, B)
     nac = cross(A, C)

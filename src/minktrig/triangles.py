@@ -2,6 +2,11 @@
 
 A triangle is any three pairwise-distinct points of the unit quadric.  Side
 ``a`` joins B and C, side ``b`` joins A and C, side ``c`` joins A and B.
+
+Each public call builds the triangle's geometry once: the three sides, each
+read off its product p = <<V, W>> and n2 = <<V x W, V x W>> by the one rule
+of ``surfaces``, and det(A, B, C).  Side kinds, lengths, the lightlike-plane and
+opposite-vertex flags, degeneracy and contractibility are all read off it.
 """
 
 from __future__ import annotations
@@ -9,24 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .constants import DEFAULT_TOL, Tolerances
-from .errors import (
-    DegenerateSpan,
-    DegenerateTriangle,
-    DuplicateVertices,
-    NotSpatiolateral,
-)
-from .mink import MVec3, PlaneClass, classify_plane, det3
+from .errors import DegenerateTriangle, DuplicateVertices, NotSpatiolateral
+from .mink import MVec3, euclid_dot
 from .surfaces import (
     Component,
     SegmentKind,
     SurfacePoint,
-    distance,
-    points_antipodal,
+    _side,
     points_equal,
-    segment_kind,
     surface_point,
 )
 
@@ -98,11 +96,25 @@ class TriangleClass:
     has_lightlike_side_plane: bool
 
 
+class _Geometry(NamedTuple):
+    """One call's view of a triangle; never stored on the triangle."""
+
+    sides: tuple  # surfaces._Side of sides a, b, c
+    det: float  # det(A, B, C)
+    degenerate: bool
+
+
+def _geometry(t: Triangle, tol: Tolerances) -> _Geometry:
+    sides = tuple(_side(p, q, tol) for p, q in t.side_endpoints())
+    A, B, C = (v.coords for v in t.vertices())
+    det = euclid_dot(sides[2].cross, C)  # det(A, B, C) = (A x B) . C
+    scale = A.euclid_norm() * B.euclid_norm() * C.euclid_norm()
+    return _Geometry(sides, det, abs(det) <= tol.eps_degen * scale)
+
+
 def is_degenerate(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the vertices are coplanar with the origin."""
-    A, B, C = (v.coords for v in t.vertices())
-    scale = A.euclid_norm() * B.euclid_norm() * C.euclid_norm()
-    return abs(det3(A, B, C)) <= tol.eps_degen * scale
+    return _geometry(t, tol).degenerate
 
 
 def _winding_number(t: Triangle) -> int:
@@ -123,10 +135,10 @@ def _winding_number(t: Triangle) -> int:
 
 def is_contractible(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the projected boundary does not wind around the origin."""
-    kinds = [segment_kind(p, q, tol) for p, q in t.side_endpoints()]
-    if any(k is not SegmentKind.DE_SITTER_SPACELIKE for k in kinds):
+    g = _geometry(t, tol)
+    if any(s.kind is not SegmentKind.DE_SITTER_SPACELIKE for s in g.sides):
         raise NotSpatiolateral("contractibility is defined for spatiolateral triangles")
-    if is_degenerate(t, tol):
+    if g.degenerate:
         raise DegenerateTriangle("contractibility is undefined for degenerate triangles")
     return _winding_number(t) == 0
 
@@ -147,6 +159,12 @@ _KIND_TABLE = {
 
 def classify_triangle(t: Triangle, tol: Tolerances = DEFAULT_TOL):
     """Classify a triangle; returns (TriangleClass, [SideReport])."""
+    cls, sides, _ = _classify(t, tol)
+    return cls, sides
+
+
+def _classify(t: Triangle, tol: Tolerances):
+    """classify_triangle, plus the geometry it was read off."""
     comps = tuple(v.component for v in t.vertices())
     if all(c is Component.H2 for c in comps):
         family = TriangleFamily.HYPERBOLIC
@@ -157,25 +175,10 @@ def classify_triangle(t: Triangle, tol: Tolerances = DEFAULT_TOL):
     else:
         family = TriangleFamily.STRANGE
 
-    sides = []
-    lightlike_plane = False
-    opposite = False
-    for label, (p, q) in zip(SIDE_LABELS, t.side_endpoints()):
-        kind = segment_kind(p, q, tol)
-        length = distance(p, q, tol)
-        sides.append(SideReport(label, kind, length))
-        if points_antipodal(p, q):
-            opposite = True
-        else:
-            try:
-                lightlike_plane |= (
-                    classify_plane(p.coords, q.coords, tol) is PlaneClass.LIGHTLIKE
-                )
-            except DegenerateSpan:
-                pass
-
+    g = _geometry(t, tol)
+    sides = [SideReport(label, s.kind, s.length)
+             for label, s in zip(SIDE_LABELS, g.sides)]
     impossible = tuple(s.label for s in sides if s.kind is SegmentKind.EMPTY)
-    degenerate = is_degenerate(t, tol)
 
     proper_kind = None
     contractible = None
@@ -187,11 +190,11 @@ def classify_triangle(t: Triangle, tol: Tolerances = DEFAULT_TOL):
         )
         proper_kind = _KIND_TABLE[counts]
         if counts == (3, 0, 0):
-            if degenerate:
+            if g.degenerate:
                 # winding is ill-defined here; fall back to the side-sum criterion
                 contractible = sum(s.length for s in sides) < 2.0 * math.pi
             else:
-                contractible = is_contractible(t, tol)
+                contractible = _winding_number(t) == 0
             proper_kind = (
                 ProperKind.SPATIOLATERAL_CONTRACTIBLE
                 if contractible
@@ -203,13 +206,13 @@ def classify_triangle(t: Triangle, tol: Tolerances = DEFAULT_TOL):
         proper_kind=proper_kind,
         side_kinds=tuple(s.kind for s in sides),
         impossible_sides=impossible,
-        degenerate=degenerate,
+        degenerate=g.degenerate,
         contractible=contractible,
         vertex_components=comps,
-        has_opposite_vertices=opposite,
-        has_lightlike_side_plane=lightlike_plane,
+        has_opposite_vertices=any(s.opposite for s in g.sides),
+        has_lightlike_side_plane=any(s.lightlike for s in g.sides),
     )
-    return cls, sides
+    return cls, sides, g
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,13 @@ Supported families: hyperbolic (and antipodal hyperbolic), spatiolateral
 non-contractible, spatiolateral contractible, and tempolateral.  Their laws
 differ only in which of cos/cosh and sin/sinh apply to sides and to angles and
 in their sign patterns, so they are stated once, as rows of the ``_LAWS`` table.
-Sides and angles are measured independently with distance() and angle(); the
-laws are then evaluated as residuals, never solved.
+Side lengths are the ones the classification read off each side's product;
+angles are measured from the tangent vectors built at each vertex.  The laws
+are then evaluated as residuals, never solved.  The tempolateral apex and the
+contractible spatiolateral anchor are sign tests on the vertex products
+g_ij = <<Vi, Vj>>.  For de Sitter vertices r_i = g_jk - g_ij g_ik is, up to
+positive factors, the product of the tangents at Vi toward Vj and Vk, and also
+the (j, k) entry of the polar triangle's Gram matrix.
 """
 
 from __future__ import annotations
@@ -17,17 +22,17 @@ from typing import Callable, NamedTuple, Optional
 
 from .constants import DEFAULT_TOL, Tolerances
 from .errors import DegenerateTriangle, UnsupportedFamily
-from .polar import polar_triangle
-from .surfaces import Component, angle, distance, surface_point, tangent_vector
+from .surfaces import _angle
 from .triangles import (
     ProperKind,
     Triangle,
+    TriangleClass,
     TriangleFamily,
-    classify_triangle,
-    is_degenerate,
+    _classify,
 )
 
-VERTEX_LABELS = ("A", "B", "C")
+# each index with the other two in increasing order
+_ORDERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 class LawFamily(Enum):
@@ -61,8 +66,7 @@ class TrigReport:
         return max(list(self.lcs_residuals) + list(self.lca_residuals) + sines)
 
 
-def _law_family(t: Triangle, tol: Tolerances) -> LawFamily:
-    cls, _ = classify_triangle(t, tol)
+def _law_family(cls: TriangleClass) -> LawFamily:
     if cls.degenerate:
         raise DegenerateTriangle("trig laws are stated for non-degenerate triangles")
     if cls.family in (TriangleFamily.HYPERBOLIC, TriangleFamily.ANTIPODAL_HYPERBOLIC):
@@ -76,69 +80,44 @@ def _law_family(t: Triangle, tol: Tolerances) -> LawFamily:
     raise UnsupportedFamily(f"no trig laws for {cls.family}/{cls.proper_kind}")
 
 
-def _tempo_apex_index(t: Triangle, tol: Tolerances) -> int:
-    """Index of the unique vertex whose tangent vectors toward the other two
-    have first components of opposite sign."""
-    verts = t.vertices()
-    apexes = []
-    for i, v in enumerate(verts):
-        others = [verts[j] for j in range(3) if j != i]
-        signs = []
-        for o in others:
-            x1 = tangent_vector(v, o, tol).x1
-            if abs(x1) <= tol.eps_light:
-                raise DegenerateTriangle("apex detection ambiguous: tangent time "
-                                         "component within tolerance of zero")
-            signs.append(x1 > 0.0)
-        if signs[0] != signs[1]:
-            apexes.append(i)
-    if len(apexes) != 1:
-        raise DegenerateTriangle(f"expected one apex vertex, found {len(apexes)}")
-    return apexes[0]
-
-
-def _spatio_c_anchor_index(t: Triangle, tol: Tolerances) -> int:
-    """Index of the vertex whose polar vertex sits alone on its hyperboloid sheet.
-
-    With that vertex labeled A the polar side a' joins two points of one sheet
-    and is therefore not strange.
-    """
-    result = polar_triangle(t, tol)
-    comps = [surface_point(v, tol).component for v in result.vertices]
-    for i in range(3):
-        others = [comps[j] for j in range(3) if j != i]
-        if comps[i] is not others[0] and others[0] is others[1]:
-            return i
-    raise DegenerateTriangle("polar vertices do not split 1 + 2 across the sheets")
-
-
-def _relabeled(t: Triangle, first: int) -> Triangle:
-    verts = t.vertices()
-    rest = [verts[j] for j in range(3) if j != first]
-    return Triangle(verts[first], rest[0], rest[1])
+def _unique(hits: list, what: str) -> int:
+    found = [i for i, hit in enumerate(hits) if hit]
+    if len(found) != 1:
+        raise DegenerateTriangle(f"expected one {what}, found {len(found)}")
+    return found[0]
 
 
 def measure(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> TriangleMeasurements:
     """Side lengths and angles, with the family's canonical vertex labeling.
 
-    For tempolateral triangles the apex is moved to A; for contractible
-    spatiolateral triangles A is chosen so the polar side a' is not strange.
+    For tempolateral triangles the apex, the one vertex that sees the other two
+    in opposite time directions (r_i > 0), is moved to A.  For contractible
+    spatiolateral triangles A is the vertex whose polar vertex sits alone on
+    its hyperboloid sheet (r_j, r_k > 0), so the polar side a' is not strange.
     """
-    family = _law_family(t, tol)
-    apex = None
-    anchor = None
+    cls, _, g = _classify(t, tol)
+    family = _law_family(cls)
+    p = [s.p for s in g.sides]  # p[i] = <<Vj, Vk>>, across side i
+    r = [p[i] - p[j] * p[k] for i, j, k in _ORDERS]
+    first, apex, anchor = 0, None, None
     if family is LawFamily.TEMPO:
-        t = _relabeled(t, _tempo_apex_index(t, tol))
-        apex = "A"
+        first, apex = _unique([x > 0.0 for x in r], "apex vertex"), "A"
     elif family is LawFamily.SPATIO_C:
-        t = _relabeled(t, _spatio_c_anchor_index(t, tol))
+        first = _unique([r[j] > 0.0 and r[k] > 0.0 for _, j, k in _ORDERS],
+                        "polar anchor vertex")
         anchor = "a"
 
-    A, B, C = t.vertices()
-    sides = (distance(B, C, tol), distance(A, C, tol), distance(A, B, tol))
-    angles = (angle(B, A, C, tol), angle(A, B, C, tol), angle(A, C, B, tol))
+    # the side joining Vi and Vj is the side across Vk
+    verts = t.vertices()
+    angles = [_angle(verts[i], verts[j], verts[k], g.sides[k], g.sides[j], tol)
+              for i, j, k in _ORDERS]
+    order = _ORDERS[first]
     return TriangleMeasurements(
-        family=family, sides=sides, angles=angles, apex=apex, polar_anchor=anchor
+        family=family,
+        sides=tuple(g.sides[i].length for i in order),
+        angles=tuple(angles[i] for i in order),
+        apex=apex,
+        polar_anchor=anchor,
     )
 
 
@@ -175,9 +154,6 @@ _LAWS = {
     LawFamily.TEMPO: _Laws(math.cosh, math.sinh, math.cosh, math.sinh,
                            (1.0, -1.0, -1.0), 1.0, (1.0, -1.0, -1.0)),
 }
-
-# each index with the other two in increasing order
-_ORDERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 def lcs_residuals(m: TriangleMeasurements) -> tuple:

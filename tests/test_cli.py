@@ -143,6 +143,17 @@ class TestVerify:
         )
         assert code == EXIT_VERIFY
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_nan_or_negative_tolerance_exit_2(self, capsys, monkeypatch, tolerance):
+        code, out, err = run_cli(
+            capsys, monkeypatch,
+            ["verify", "--sample", "hyperbolic", "--count", "2",
+             "--tolerance", tolerance],
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error: --tolerance")
+
     def test_zero_count_exit_2(self, capsys, monkeypatch):
         code, _, err = run_cli(
             capsys, monkeypatch,

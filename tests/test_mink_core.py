@@ -1,4 +1,9 @@
-"""Bilinear form, causal classification, Lorentz utilities, plane classification."""
+"""Bilinear form, causal classification, Lorentz utilities, plane classification.
+
+A segment's plane class is read off the Gram rule in ``surfaces``.  The
+Lorentz-orthogonal basis and the Lorentz-matrix predicate below are test
+oracles, kept here because nothing in the package needs them.
+"""
 
 import math
 
@@ -7,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minktrig.constants import DEFAULT_TOL
-from minktrig.errors import DegenerateSpan, LightlikeNormalization
+from minktrig.errors import AntipodalPoints
 from minktrig.mink import (
     E1,
     E2,
@@ -16,27 +20,72 @@ from minktrig.mink import (
     J_MATRIX,
     CausalClass,
     MVec3,
-    PlaneClass,
     apply_matrix,
     boost_e1_e2,
-    classify_plane,
     classify_vector,
     cross,
     det3,
     euclid_dot,
-    is_lorentz,
     j_transform,
-    lorentz_orthogonal_basis,
     minkowski_norm,
     minkowski_product,
-    normalize,
     random_lorentz,
+)
+from minktrig.samplers import sample_point
+from minktrig.surfaces import (
+    Component,
+    SegmentKind,
+    segment_kind,
+    surface_point,
+    tangent_vector,
 )
 
 from conftest import SQRT2, vec
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 vectors = st.builds(MVec3, coords, coords, coords)
+
+
+def is_lorentz(m) -> bool:
+    """M^T J M = J within 1e-9."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        return False
+    return bool(np.max(np.abs(m.T @ J_MATRIX @ m - J_MATRIX)) <= 1e-9)
+
+
+def lorentz_orthogonal_basis(u: MVec3, v: MVec3) -> tuple:
+    """Minkowski-orthogonal basis (b1, b2) of span(u, v) with b1 spacelike.
+
+    Tie-breaking is deterministic: b1 is the input with the larger self-product;
+    if neither input is spacelike, one of u+v, u-v is taken instead.  The
+    plane's class is the class of b2, an oracle independent of the Gram rule.
+    """
+    n = cross(u, v)
+    scale = max(u.euclid_norm() * v.euclid_norm(), 1e-300)
+    if n.euclid_norm() <= 1e-12 * scale:
+        raise ValueError("spanning vectors are linearly dependent")
+
+    qu = minkowski_product(u, u)
+    qv = minkowski_product(v, v)
+    candidates = [u, v] if qu >= qv else [v, u]
+    candidates += [u + v, u - v]
+    puv = minkowski_product(u, v)
+    if qv < 0.0:
+        # maximizer of <<u + t v, u + t v>> over t; positive for any plane
+        # that contains spacelike vectors at all
+        candidates.append(u - (puv / qv) * v)
+    elif qv == 0.0 and puv != 0.0:
+        t_lin = (1.0 + abs(qu)) / (2.0 * abs(puv))
+        candidates.append(u + math.copysign(t_lin, puv) * v)
+    b1 = next(
+        c for c in candidates if classify_vector(c) is CausalClass.SPACELIKE
+        and not c.is_zero()
+    )
+    # project away the b1 component from whichever input is independent of b1
+    other = u if cross(u, b1).euclid_norm() > cross(v, b1).euclid_norm() else v
+    b2 = other - (minkowski_product(other, b1) / minkowski_product(b1, b1)) * b1
+    return b1, b2
 
 
 class TestMinkowskiProduct:
@@ -77,19 +126,6 @@ class TestNormAndNormalize:
 
     def test_spacelike_norm(self):
         assert minkowski_norm(vec(0, 3, 4)) == pytest.approx(5.0)
-
-    def test_normalize_timelike(self):
-        assert normalize(vec(2, 0, 0)) == E1
-
-    def test_normalize_spacelike(self):
-        n = normalize(vec(0, 3, 4))
-        assert n.as_tuple() == pytest.approx((0.0, 0.6, 0.8))
-
-    def test_normalize_lightlike_raises(self):
-        with pytest.raises(LightlikeNormalization):
-            normalize(vec(1, 1, 0))
-        with pytest.raises(LightlikeNormalization):
-            normalize(vec(0, 0, 0))
 
 
 class TestClassifyVector:
@@ -208,7 +244,7 @@ class TestLorentzOrthogonalBasis:
         assert minkowski_product(b1, b2) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_span_raises(self):
-        with pytest.raises(DegenerateSpan):
+        with pytest.raises(ValueError):
             lorentz_orthogonal_basis(E2, 2.0 * E2)
 
     def test_full_basis_has_one_timelike_vector(self, rng):
@@ -219,7 +255,7 @@ class TestLorentzOrthogonalBasis:
             v = MVec3(*rng.uniform(-2, 2, size=3))
             try:
                 b1, b2 = lorentz_orthogonal_basis(u, v)
-            except DegenerateSpan:
+            except ValueError:
                 continue
             b3 = j_transform(cross(u, v))
             kinds = [classify_vector(b) for b in (b1, b2, b3)]
@@ -228,44 +264,51 @@ class TestLorentzOrthogonalBasis:
             assert kinds.count(CausalClass.TIMELIKE) == 1
 
 
+def de_sitter_pairs(rng, count):
+    for _ in range(count):
+        yield (sample_point(Component.DE_SITTER, rng, 1.5),
+               sample_point(Component.DE_SITTER, rng, 1.5))
+
+
 class TestClassifyPlane:
+    """The class of span(a, b), as segment_kind reports it for a de Sitter pair."""
+
     def test_figure_examples(self):
-        assert classify_plane(E2, E3) is PlaneClass.SPACELIKE
-        assert classify_plane(E2, E3 + E1) is PlaneClass.LIGHTLIKE
-        assert classify_plane(E2, E1) is PlaneClass.TIMELIKE
+        e2, e3 = surface_point(E2), surface_point(E3)
+        assert segment_kind(e2, e3) is SegmentKind.DE_SITTER_SPACELIKE
+        on_ray = surface_point(E2 + (E3 + E1))  # in span(E2, E3 + E1)
+        assert segment_kind(e2, on_ray) is SegmentKind.DE_SITTER_LIGHTLIKE
+        on_branch = surface_point(math.sinh(1.0) * E1 + math.cosh(1.0) * E2)
+        assert segment_kind(e2, on_branch) is SegmentKind.DE_SITTER_TIMELIKE
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateSpan):
-            classify_plane(E2, -E2)
+        # E2 and -E2 span no plane: the segment is empty and has no tangent
+        e2, minus_e2 = surface_point(E2), surface_point(-E2)
+        assert segment_kind(e2, minus_e2) is SegmentKind.EMPTY
+        with pytest.raises(AntipodalPoints):
+            tangent_vector(e2, minus_e2)
 
     def test_agrees_with_basis_definition(self, rng):
         # oracle: the plane's class is the class of the second vector of a
-        # Lorentz orthogonal basis (the first is spacelike by construction)
+        # Lorentz orthogonal basis (the first is spacelike by construction);
+        # an empty segment joins the two branches of a timelike plane
         mapping = {
-            CausalClass.SPACELIKE: PlaneClass.SPACELIKE,
-            CausalClass.LIGHTLIKE: PlaneClass.LIGHTLIKE,
-            CausalClass.TIMELIKE: PlaneClass.TIMELIKE,
+            CausalClass.SPACELIKE: SegmentKind.DE_SITTER_SPACELIKE,
+            CausalClass.LIGHTLIKE: SegmentKind.DE_SITTER_LIGHTLIKE,
+            CausalClass.TIMELIKE: SegmentKind.DE_SITTER_TIMELIKE,
         }
-        for _ in range(300):
-            u = MVec3(*rng.uniform(-2, 2, size=3))
-            v = MVec3(*rng.uniform(-2, 2, size=3))
-            try:
-                got = classify_plane(u, v)
-                b1, b2 = lorentz_orthogonal_basis(u, v)
-            except DegenerateSpan:
-                continue
-            assert got is mapping[classify_vector(b2)]
+        for a, b in de_sitter_pairs(rng, 300):
+            got = segment_kind(a, b)
+            _, b2 = lorentz_orthogonal_basis(a.coords, b.coords)
+            want = mapping[classify_vector(b2)]
+            if got is SegmentKind.EMPTY:
+                assert want is SegmentKind.DE_SITTER_TIMELIKE
+            else:
+                assert got is want
 
     def test_lorentz_invariance(self, rng):
-        for _ in range(100):
-            u = MVec3(*rng.uniform(-2, 2, size=3))
-            v = MVec3(*rng.uniform(-2, 2, size=3))
+        for a, b in de_sitter_pairs(rng, 100):
             m = random_lorentz(rng)
-            try:
-                before = classify_plane(u, v)
-            except DegenerateSpan:
-                continue
-            if before is PlaneClass.LIGHTLIKE:
-                continue  # exactly-lightlike planes sit on the tolerance band
-            after = classify_plane(apply_matrix(m, u), apply_matrix(m, v))
-            assert after is before
+            before = segment_kind(a, b)
+            image = (surface_point(apply_matrix(m, p.coords)) for p in (a, b))
+            assert segment_kind(*image) is before

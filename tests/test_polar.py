@@ -44,6 +44,13 @@ class TestExistence:
         ok, reason = polar_exists(HYP_FIXTURE)
         assert ok and reason is None
 
+    def test_nonexistent_exactly_when_classification_flags_it(self):
+        for t in sample_triangle(SampleSpec(family="mixed", count=300, seed=17)):
+            cls, _ = classify_triangle(t)
+            ok, _ = polar_exists(t)
+            assert ok is not (cls.has_opposite_vertices
+                              or cls.has_lightlike_side_plane)
+
 
 class TestConstruction:
     def test_hyperbolic_fixture(self):

@@ -8,6 +8,7 @@ import pytest
 from minktrig.errors import (
     EmptySegment,
     LightlikeSegment,
+    ParamOutOfRange,
     RejectionBudgetExhausted,
     UnsupportedFamily,
 )
@@ -42,7 +43,7 @@ class TestSampleTriangle:
     def test_spec_validation(self):
         with pytest.raises(UnsupportedFamily):
             SampleSpec(family="euclidean", count=1, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamOutOfRange):
             SampleSpec(family="hyperbolic", count=0, seed=0)
 
     def test_deterministic_under_seed(self):

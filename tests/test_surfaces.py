@@ -27,6 +27,7 @@ from minktrig.surfaces import (
     Component,
     OffSurface,
     SegmentKind,
+    SurfacePoint,
     angle,
     angle_via_cross,
     classify_point,
@@ -153,8 +154,13 @@ class TestDistance:
             assert proper_distance(x, z) > 0.0
 
     def test_clamp_error_beyond_band(self):
+        # points tagged as forward-sheet points but off the quadric: the
+        # tangent product at a lies far outside [-1, 1], beyond the clamp band
+        a = SurfacePoint(vec(2, 0, 0), Component.H2)
+        b = SurfacePoint(vec(1, 0.5, 0), Component.H2)
+        c = SurfacePoint(vec(1, 0.5, 0.01), Component.H2)
         with pytest.raises(ClampError):
-            proper_distance(vec(0, 1, 0), vec(0, 1.001, 0))
+            angle(b, a, c)
 
 
 class TestSegmentKind:
@@ -165,6 +171,11 @@ class TestSegmentKind:
         a = sp(0, 1, 0)
         b = surface_point(a.coords + 0.8 * vec(1, 0, 1))
         assert segment_kind(a, b) is SegmentKind.DE_SITTER_LIGHTLIKE
+
+    def test_timelike(self):
+        # the chorosceles fixture's timelike side: <<a, b>> = 3
+        a, b = sp(1, 0, SQRT2), sp(-1, 0, SQRT2)
+        assert segment_kind(a, b) is SegmentKind.DE_SITTER_TIMELIKE
 
     def test_antipodal_pair_empty(self):
         assert segment_kind(sp(0, 1, 0), sp(0, -1, 0)) is SegmentKind.EMPTY

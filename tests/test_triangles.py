@@ -12,7 +12,13 @@ from minktrig.errors import (
 )
 from minktrig.mink import E2, E3, apply_matrix, random_lorentz
 from minktrig.samplers import SampleSpec, sample_triangle
-from minktrig.surfaces import surface_point, tangent_vector
+from minktrig.surfaces import (
+    SegmentKind,
+    distance,
+    segment_kind,
+    surface_point,
+    tangent_vector,
+)
 from minktrig.triangles import (
     ProperKind,
     Triangle,
@@ -58,6 +64,20 @@ class TestClassify:
     def test_strange_triangle(self):
         cls, _ = classify_triangle(tri((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         assert cls.family is TriangleFamily.STRANGE
+
+    def test_light_cone_point_keeps_timelike_length(self):
+        # <<A, C>> = 1e10: the side is timelike and its length is arcosh of
+        # that same product, even though A - C is nearly lightlike
+        cls, sides = classify_triangle(tri((0, 1, 0), (0, 0, 1), (1e10, 1e10, 1)))
+        assert cls.proper_kind is ProperKind.MULTIPLE
+        assert sides[1].kind is SegmentKind.DE_SITTER_TIMELIKE
+        assert sides[1].length == math.acosh(1e10)
+
+    def test_side_reports_are_segment_views(self):
+        for t in sample_triangle(SampleSpec(family="mixed", count=300, seed=17)):
+            _, sides = classify_triangle(t)
+            for s, (p, q) in zip(sides, t.side_endpoints()):
+                assert (s.kind, s.length) == (segment_kind(p, q), distance(p, q))
 
     def test_vertex_permutation_invariance(self):
         t1 = tri((0, 1, 0), (0, 0, 1), CHRONO_W)
