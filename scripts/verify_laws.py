@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Sample triangles per family and summarize trigonometric-law residuals.
 
+The batches are sampled and measured on the array path `minktrig verify
+--sample` runs, so the figures are the ones the CLI reports for the same
+family, count and seed.
+
 Usage:
     python3 scripts/verify_laws.py --count 2000 --seed 7
     python3 scripts/verify_laws.py --families tempolateral hyperbolic
@@ -9,31 +13,20 @@ Usage:
 import argparse
 import math
 
-from minktrig.samplers import SampleSpec, sample_triangle
-from minktrig.trig import trig_report
+from minktrig.samplers import _BLOCK_KINDS, SampleSpec, _sample_rows
+from minktrig.trig import law_batch
 
-LAW_FAMILIES = (
-    "hyperbolic",
-    "antipodal_hyperbolic",
-    "spatiolateral_contractible",
-    "spatiolateral_noncontractible",
-    "tempolateral",
-)
+LAW_FAMILIES = tuple(_BLOCK_KINDS)
 
 
 def summarize(family: str, count: int, seed: int) -> dict:
-    residuals = []
-    angle_sums = []
-    side_sums = []
-    for t in sample_triangle(SampleSpec(family=family, count=count, seed=seed)):
-        rep = trig_report(t)
-        residuals.append(rep.max_residual())
-        if rep.angle_sum is not None:
-            angle_sums.append(rep.angle_sum)
-        if rep.side_sum is not None:
-            side_sums.append(rep.side_sum)
-    out = {"max_residual": max(residuals),
-           "mean_residual": sum(residuals) / len(residuals)}
+    batch = law_batch(*_sample_rows(SampleSpec(family=family, count=count, seed=seed)))
+    batch.raise_first()
+    residuals = batch.max_residual
+    out = {"max_residual": float(residuals.max()),
+           "mean_residual": float(residuals.mean())}
+    angle_sums = [s for s in batch.angle_sums() if s is not None]
+    side_sums = [s for s in batch.side_sums() if s is not None]
     if angle_sums:
         out["max_angle_sum_minus_pi"] = max(angle_sums) - math.pi
     if side_sums:

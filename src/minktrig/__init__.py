@@ -48,10 +48,13 @@ from .triangles import (
     triangle_inequality_report,
 )
 from .trig import (
+    LawBatch,
     LawFamily,
     TriangleMeasurements,
     TrigReport,
     angle_sum_check,
+    law_batch,
+    law_batch_of,
     lca_residuals,
     lcs_residuals,
     measure,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -17,14 +18,14 @@ from typing import Optional
 import numpy as np
 
 from .constants import DEFAULT_RESIDUAL_BOUND, DEFAULT_TOL
-from .errors import MinkTrigError, PolarNonExistent
+from .errors import EmptySegment, MinkTrigError, PolarNonExistent, UnsupportedFamily
 from .mink import MVec3
 from .polar import polar_triangle
-from .samplers import FAMILIES, SampleSpec, sample_triangle
+from .samplers import _BLOCK_KINDS, FAMILIES, SampleSpec, _sample_rows, sample_triangle
 from .surfaces import distance, segment_kind, segment_point, surface_point
 from .surfaces import SegmentKind
 from .triangles import Triangle, classify_triangle, triangle_inequality_report
-from .trig import trig_report
+from .trig import LawBatch, law_batch, law_batch_of
 
 SCHEMA = "minktrig/1"
 
@@ -51,9 +52,18 @@ def _jsonify(value):
 
 
 def _emit(payload: dict) -> None:
+    """Write the payload as one line of JSON, infinities as "inf".
+
+    json.dumps runs the C encoder, where json.dump to a stream runs the Python
+    one.  A payload with no infinity or NaN, the usual case, is written as it
+    is; _jsonify walks only the others.
+    """
     payload = {"schema": SCHEMA, **payload}
-    json.dump(_jsonify(payload), sys.stdout)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:  # an infinite length or residual, or a NaN
+        text = json.dumps(_jsonify(payload))
+    sys.stdout.write(text + "\n")
 
 
 def _fail(code: int, error: str, message: str) -> int:
@@ -162,47 +172,51 @@ def cmd_polar(args) -> int:
     return EXIT_OK
 
 
-def _verify_triangles(args) -> list:
+def _verify_batch(args) -> LawBatch:
     if args.sample:
         if args.file:
             raise InputError("--sample and --file are mutually exclusive")
         count = _at_least(args.count, 1, "--count")
         spec = SampleSpec(family=args.sample, count=count, seed=args.seed)
-        return sample_triangle(spec)
+        if spec.family in _BLOCK_KINDS:
+            return law_batch(*_sample_rows(spec))
+        if spec.family != "mixed":  # no triangle of the family has laws
+            raise UnsupportedFamily(f"no trig laws for {spec.family} triangles")
+        return law_batch_of(sample_triangle(spec))
     data = _load_json(args)
     _check_fields(data, {"vertices"}, args.strict)
-    return [_parse_triangle(data)]
+    return law_batch_of([_parse_triangle(data)])
 
 
 def cmd_verify(args) -> int:
     bound = args.tolerance
     if not bound >= 0.0:  # also refuses NaN, which JSON cannot carry
         raise InputError(f"--tolerance must be a non-negative number, got {bound}")
-    triangles = _verify_triangles(args)
-    reports = []
-    failures = 0
-    worst = 0.0
-    for t in triangles:
-        r = trig_report(t)
-        mr = r.max_residual()
-        worst = max(worst, mr)
-        ok = mr <= bound
-        failures += 0 if ok else 1
-        reports.append({
-            "family": r.family.value,
-            "lcs_residuals": list(r.lcs_residuals),
-            "lca_residuals": list(r.lca_residuals),
-            "sines_ratios": list(r.sines_ratios),
-            "angle_sum": r.angle_sum,
-            "side_sum": r.side_sum,
+    batch = _verify_batch(args)
+    batch.raise_first()
+    worst = batch.max_residual.tolist()
+    families = [f.value for f in batch.families()]
+    reports = [
+        {
+            "family": family,
+            "lcs_residuals": lcs,
+            "lca_residuals": lca,
+            "sines_ratios": ratios,
+            "angle_sum": angle_sum,
+            "side_sum": side_sum,
             "max_residual": mr,
-            "within_tolerance": ok,
-        })
+            "within_tolerance": mr <= bound,
+        }
+        for family, lcs, lca, ratios, angle_sum, side_sum, mr in zip(
+            families, batch.lcs.tolist(), batch.lca.tolist(),
+            batch.ratios.tolist(), batch.angle_sums(), batch.side_sums(), worst)
+    ]
+    failures = sum(not r["within_tolerance"] for r in reports)
     _emit({
         "reports": reports,
         "summary": {
             "count": len(reports),
-            "max_residual": worst,
+            "max_residual": max(worst, default=0.0),
             "failures": failures,
             "tolerance": bound,
         },
@@ -225,6 +239,8 @@ def cmd_export_geodesic(args) -> int:
         raise InputError(str(exc))
 
     kind = segment_kind(a, b)
+    if kind is SegmentKind.EMPTY:
+        raise EmptySegment("no segment joins antipodal or infinitely separated points")
     bound = 1.0 if kind is SegmentKind.DE_SITTER_LIGHTLIKE else distance(a, b)
     writer = csv.writer(sys.stdout)
     writer.writerow(["x1", "x2", "x3", "t"])
@@ -243,7 +259,9 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and reused for every later call."""
     parser = argparse.ArgumentParser(
         prog="minktrig",
         description="Trigonometry on the de Sitter surface and hyperbolic plane",

@@ -5,6 +5,12 @@ bimetrical, multiple) are built constructively from lightlike rays at e2 and
 then moved by a random Lorentz map; rejection sampling alone cannot reach
 them.  Every emitted triangle is validated against the classifier before it
 is returned.
+
+The five families that have trig laws (hyperbolic, antipodal hyperbolic, both
+spatiolateral kinds, tempolateral) are drawn in blocks of candidate rows and
+accepted with array versions of the classifier's checks, sized from the rows
+still needed; ``_sample_rows`` returns their vertex arrays and
+``sample_triangle`` wraps them into triangles.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import (
 )
 from .mink import E2, MVec3, apply_matrix, random_lorentz
 from .surfaces import (
+    _POINT_EQ_TOL,
     Component,
     SegmentKind,
     SurfacePoint,
@@ -35,6 +42,7 @@ from .surfaces import (
     tangent_vector,
 )
 from .triangles import ProperKind, Triangle, TriangleFamily, _classify, _Geometry
+from .trig import _FAMILIES, _J, _K, _NEXT, LawFamily, _lengths, _mink, _products
 
 # sampleable family names, used by SampleSpec and the CLI
 FAMILIES = (
@@ -137,42 +145,6 @@ class _Budget:
             )
 
 
-def _hyperbolic_candidate(rng, spec, tol):
-    comp = (Component.NEG_H2 if spec.family == "antipodal_hyperbolic"
-            else Component.H2)
-    cap = min(spec.max_rapidity, 1.5)
-    return Triangle(*(sample_point(comp, rng, cap, tol) for _ in range(3)))
-
-
-def _spatiolateral_candidate(rng, spec, tol):
-    contractible = spec.family == "spatiolateral_contractible"
-    base = rng.uniform(0.0, 2.0 * math.pi)
-    if contractible:
-        thetas = base + np.sort(rng.uniform(0.1, 1.0, size=3) * np.array([1, 2, 3]))
-    else:
-        jitter = rng.uniform(-0.4, 0.4, size=3)
-        thetas = base + np.array([0.0, 2.0, 4.0]) * math.pi / 3.0 + jitter
-    pts = [_de_sitter_near_throat(rng, float(th), 0.05, 0.35, tol) for th in thetas]
-    return Triangle(*pts)
-
-
-def _tempolateral_candidate(rng, spec, tol):
-    s1 = rng.uniform(0.1, 1.0)
-    s2 = rng.uniform(0.1, 1.0)
-    t1 = rng.uniform(0.2, 1.2)
-    t2 = rng.uniform(0.2, 1.2)
-    x1 = MVec3(math.cosh(s1), 0.0, math.sinh(s1))
-    x2 = MVec3(-math.cosh(s2), 0.0, math.sinh(s2))
-    a = E2
-    b = math.cosh(t1) * a + math.sinh(t1) * x1
-    c = math.cosh(t2) * a + math.sinh(t2) * x2
-    m = random_lorentz(rng, orthochronous=True,
-                       max_rapidity=min(spec.max_rapidity, 1.0))
-    return Triangle.from_vectors(
-        apply_matrix(m, a), apply_matrix(m, b), apply_matrix(m, c), tol
-    )
-
-
 def _sceles_candidate(rng, spec, tol):
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=3)
     pts = [_de_sitter_near_throat(rng, float(th), 0.1, 1.2, tol) for th in thetas]
@@ -256,11 +228,6 @@ def _accepts(spec: SampleSpec, t: Triangle, tol: Tolerances) -> bool:
 
 
 _CANDIDATES: dict = {
-    "hyperbolic": _hyperbolic_candidate,
-    "antipodal_hyperbolic": _hyperbolic_candidate,
-    "spatiolateral_contractible": _spatiolateral_candidate,
-    "spatiolateral_noncontractible": _spatiolateral_candidate,
-    "tempolateral": _tempolateral_candidate,
     "chorosceles": _sceles_candidate,
     "chronosceles": _sceles_candidate,
     "lucilateral": _photosceles_candidate,
@@ -276,6 +243,9 @@ _CANDIDATES: dict = {
 
 def sample_triangle(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL) -> List[Triangle]:
     """Batch of triangles whose classification matches spec.family."""
+    if spec.family in _BLOCK_KINDS:
+        return [Triangle.from_vectors(*(MVec3(*v) for v in row), tol)
+                for row in _sample_rows(spec, tol)[0].tolist()]
     rng = np.random.default_rng(spec.seed)
     if spec.family == "mixed":
         return _sample_mixed(spec, rng, tol)
@@ -295,18 +265,204 @@ def sample_triangle(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL) -> List[Tri
 
 
 def _sample_mixed(spec: SampleSpec, rng, tol) -> List[Triangle]:
+    """Row i is of family pool[i % len(pool)] and draws the i-th seed.  A row
+    of the other families is one triangle sampled from its seed; the rows of
+    each block-sampled family are one block, from the seed of its first row,
+    so the other families' rows do not depend on how the blocks are drawn."""
     pool = [f for f in FAMILIES if f not in ("mixed",)]
-    out: List[Triangle] = []
-    i = 0
-    while len(out) < spec.count:
-        fam = pool[i % len(pool)]
-        i += 1
-        sub = SampleSpec(
-            family=fam, count=1, seed=int(rng.integers(0, 2**32)),
+    rows = [(pool[i % len(pool)], int(rng.integers(0, 2**32)))
+            for i in range(spec.count)]
+
+    def sub(family, count, seed):
+        return sample_triangle(SampleSpec(
+            family=family, count=count, seed=seed,
             max_rapidity=spec.max_rapidity, rejection_budget=spec.rejection_budget,
-        )
-        out.extend(sample_triangle(sub, tol))
-    return out
+        ), tol)
+
+    blocks = {}
+    for family in _BLOCK_KINDS:
+        seeds = [seed for f, seed in rows if f == family]
+        if seeds:
+            blocks[family] = iter(sub(family, len(seeds), seeds[0]))
+    return [next(blocks[f]) if f in blocks else sub(f, 1, seed)[0]
+            for f, seed in rows]
+
+
+# -- block sampling of the law families --------------------------------------
+
+# The side kind all three sides of each block-sampled family have, and the law
+# family its triangles are measured in.
+_BLOCK_KINDS = {
+    "hyperbolic": (SegmentKind.HYPERBOLIC, LawFamily.HYP),
+    "antipodal_hyperbolic": (SegmentKind.ANTIPODAL_HYPERBOLIC, LawFamily.HYP),
+    "spatiolateral_contractible": (SegmentKind.DE_SITTER_SPACELIKE,
+                                   LawFamily.SPATIO_C),
+    "spatiolateral_noncontractible": (SegmentKind.DE_SITTER_SPACELIKE,
+                                      LawFamily.SPATIO_NC),
+    "tempolateral": (SegmentKind.DE_SITTER_TIMELIKE, LawFamily.TEMPO),
+}
+# Arrays code a side kind as its index in SegmentKind, and a vertex component
+# as 0 (H2), 1 (NEG_H2), 2 (de Sitter) or -1 (off the quadric): the two sheet
+# codes are those of the HYPERBOLIC and ANTIPODAL_HYPERBOLIC kinds.
+_KINDS = tuple(SegmentKind)
+_SPACELIKE, _TIMELIKE, _LIGHTLIKE, _POINT, _EMPTY = (_KINDS.index(k) for k in (
+    SegmentKind.DE_SITTER_SPACELIKE, SegmentKind.DE_SITTER_TIMELIKE,
+    SegmentKind.DE_SITTER_LIGHTLIKE, SegmentKind.POINT, SegmentKind.EMPTY))
+_DE_SITTER = 2
+
+
+def _components(V, tol: Tolerances):
+    """classify_point of each vertex, as a component code.  For q < 0,
+    |(|q|) - 1| is |q + 1| exactly."""
+    q = _mink(V, V)
+    return np.where(np.abs(np.abs(q) - 1.0) <= tol.eps_surf,
+                    np.where(q > 0.0, _DE_SITTER, V[..., 0] <= 0.0), -1)
+
+
+def _side_kinds(V, comp, p, n, n2, tol: Tolerances):
+    """SegmentKind codes (indices into SegmentKind) of each row's sides a, b, c,
+    by the rule of surfaces._side."""
+    P, Q = V[:, _J], V[:, _K]
+    cp, cq = comp[:, _J], comp[:, _K]
+    d, s = P - Q, P + Q
+    equal = np.sqrt((d * d).sum(axis=-1)) <= _POINT_EQ_TOL
+    opposite = np.sqrt((s * s).sum(axis=-1)) <= _POINT_EQ_TOL
+    lightlike = np.abs(n2) <= tol.eps_light * np.maximum(1.0, (n * n).sum(axis=-1))
+    return np.where(
+        equal, _POINT, np.where(
+            opposite | (cp != cq) | (cp < 0), _EMPTY, np.where(
+                cp < _DE_SITTER, cp, np.where(
+                    p <= -1.0, _EMPTY, np.where(
+                        lightlike, _LIGHTLIKE,
+                        np.where(p > 1.0, _TIMELIKE, _SPACELIKE))))))
+
+
+def _winding_number(V):
+    """triangles._winding_number of each row: the turns of the x2-x3 projection
+    of the loop A -> B -> C -> A about the origin."""
+    u = V[..., 1:]
+    w = u[:, _NEXT]
+    sweep = np.arctan2(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0],
+                       (u * w).sum(axis=-1))
+    return np.round(sweep.sum(axis=1) / (2.0 * math.pi))
+
+
+def _accept_rows(spec: SampleSpec, V, tol: Tolerances):
+    """Which candidate rows _accepts would take: every vertex on the quadric,
+    pairwise distinct, all three sides of the family's kind, the winding
+    number of its contractibility, outside the det band and
+    _well_conditioned."""
+    kind, family = _BLOCK_KINDS[spec.family]
+    p, n, n2 = _products(V)
+    kinds = _side_kinds(V, _components(V, tol), p, n, n2, tol)
+    ok = (kinds == _KINDS.index(kind)).all(axis=1)
+    if kind is SegmentKind.DE_SITTER_SPACELIKE:
+        ok &= (_winding_number(V) == 0) == (family is LawFamily.SPATIO_C)
+    det = np.abs((n[:, 2] * V[:, 2]).sum(axis=-1))  # |det(A, B, C)|
+    scale = np.sqrt((V * V).sum(axis=-1)).prod(axis=-1)
+    ok &= (det > tol.eps_degen * scale) & (det >= 1e-3 * scale)
+    lengths = _lengths(p, np.full(len(V), _FAMILIES.index(family)))
+    ok &= (lengths >= 0.05).all(axis=1)
+    if kind is SegmentKind.DE_SITTER_SPACELIKE:
+        ok &= (lengths <= math.pi - 0.05).all(axis=1)
+    return ok
+
+
+def _rotations(theta):
+    """Rotations by theta in the x2-x3 plane, stacked."""
+    m = np.zeros(theta.shape + (3, 3))
+    c, s = np.cos(theta), np.sin(theta)
+    m[:, 0, 0] = 1.0
+    m[:, 1, 1], m[:, 1, 2], m[:, 2, 1], m[:, 2, 2] = c, -s, s, c
+    return m
+
+
+def _lorentz_rows(rng, size: int, max_rapidity: float):
+    """Stacked rotation-boost-rotation maps, as mink.random_lorentz draws them."""
+    r1 = _rotations(rng.uniform(0.0, 2.0 * math.pi, size))
+    r2 = _rotations(rng.uniform(0.0, 2.0 * math.pi, size))
+    eta = rng.uniform(0.0, max_rapidity, size)
+    b = np.zeros((size, 3, 3))
+    b[:, 0, 0] = b[:, 1, 1] = np.cosh(eta)
+    b[:, 0, 1] = b[:, 1, 0] = np.sinh(eta)
+    b[:, 2, 2] = 1.0
+    return r1 @ b @ r2
+
+
+def _hyperbolic_rows(rng, spec: SampleSpec, size: int):
+    u = rng.uniform(0.0, min(spec.max_rapidity, 1.5), (size, 3))
+    theta = rng.uniform(0.0, 2.0 * math.pi, (size, 3))
+    V = np.stack((np.cosh(u), np.sinh(u) * np.cos(theta),
+                  np.sinh(u) * np.sin(theta)), axis=-1)
+    return -V if spec.family == "antipodal_hyperbolic" else V
+
+
+def _spatiolateral_rows(rng, spec: SampleSpec, size: int):
+    """Three de Sitter points near the throat: spread over about a third of a
+    turn for contractible triangles, and about a third of a turn apart for
+    non-contractible ones."""
+    base = rng.uniform(0.0, 2.0 * math.pi, (size, 1))
+    if spec.family == "spatiolateral_contractible":
+        theta = base + np.sort(rng.uniform(0.1, 1.0, (size, 3)) * [1.0, 2.0, 3.0],
+                               axis=1)
+    else:
+        theta = (base + np.array([0.0, 2.0, 4.0]) * math.pi / 3.0
+                 + rng.uniform(-0.4, 0.4, (size, 3)))
+    v = rng.uniform(0.05, 0.35, (size, 3)) * np.where(
+        rng.random((size, 3)) < 0.5, 1.0, -1.0)
+    return np.stack((np.sinh(v), np.cosh(v) * np.cos(theta),
+                     np.cosh(v) * np.sin(theta)), axis=-1)
+
+
+def _tempolateral_rows(rng, spec: SampleSpec, size: int):
+    """e2 and two points on timelike geodesics from it, one in each time
+    direction, moved by a random orthochronous Lorentz map."""
+    s1, s2 = rng.uniform(0.1, 1.0, (2, size))
+    t1, t2 = rng.uniform(0.2, 1.2, (2, size))
+    W = np.zeros((size, 3, 3))
+    W[:, 0, 1] = 1.0
+    # cosh t e2 + sinh t x, with x = (cosh s1, 0, sinh s1) and (-cosh s2, 0, sinh s2)
+    W[:, 1] = np.stack((np.sinh(t1) * np.cosh(s1), np.cosh(t1),
+                        np.sinh(t1) * np.sinh(s1)), axis=-1)
+    W[:, 2] = np.stack((-np.sinh(t2) * np.cosh(s2), np.cosh(t2),
+                        np.sinh(t2) * np.sinh(s2)), axis=-1)
+    M = _lorentz_rows(rng, size, min(spec.max_rapidity, 1.0))
+    return W @ M.transpose(0, 2, 1)
+
+
+_BLOCK_CANDIDATES = {
+    "hyperbolic": _hyperbolic_rows,
+    "antipodal_hyperbolic": _hyperbolic_rows,
+    "spatiolateral_contractible": _spatiolateral_rows,
+    "spatiolateral_noncontractible": _spatiolateral_rows,
+    "tempolateral": _tempolateral_rows,
+}
+
+
+def _sample_rows(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
+    """A batch of one of the five law families (the keys of _BLOCK_KINDS):
+    its vertex rows, shape (count, 3, 3), and their law family codes, the
+    arguments of trig.law_batch.
+
+    Candidates are drawn in blocks, each sized from the rows still needed and
+    the share accepted so far.  spec.rejection_budget counts candidates.
+    """
+    rng = np.random.default_rng(spec.seed)
+    draw = _BLOCK_CANDIDATES[spec.family]
+    blocks, accepted, attempts = [], 0, 0
+    while accepted < spec.count:
+        need = spec.count - accepted
+        rate = max(accepted, 1) / attempts if attempts else 1.0
+        size = min(int(1.1 * need / rate) + 1, spec.rejection_budget - attempts)
+        if size <= 0:
+            raise RejectionBudgetExhausted(spec.family, attempts, accepted)
+        V = draw(rng, spec, size)
+        attempts += size
+        V = V[_accept_rows(spec, V, tol)][:need]
+        blocks.append(V)
+        accepted += len(V)
+    family = _FAMILIES.index(_BLOCK_KINDS[spec.family][1])
+    return np.concatenate(blocks), np.full(spec.count, family)
 
 
 def sample_segment(

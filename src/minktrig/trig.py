@@ -3,36 +3,44 @@
 Supported families: hyperbolic (and antipodal hyperbolic), spatiolateral
 non-contractible, spatiolateral contractible, and tempolateral.  Their laws
 differ only in which of cos/cosh and sin/sinh apply to sides and to angles and
-in their sign patterns, so they are stated once, as rows of the ``_LAWS`` table.
-Side lengths are the ones the classification read off each side's product;
-angles are measured from the tangent vectors built at each vertex.  The laws
-are then evaluated as residuals, never solved.  The tempolateral apex and the
-contractible spatiolateral anchor are sign tests on the vertex products
-g_ij = <<Vi, Vj>>.  For de Sitter vertices r_i = g_jk - g_ij g_ik is, up to
-positive factors, the product of the tangents at Vi toward Vj and Vk, and also
-the (j, k) entry of the polar triangle's Gram matrix.
+in their sign patterns, so they are stated once, as rows of the ``_LAWS`` sign
+table, and evaluated as residuals, never solved.
+
+All of it runs as one array kernel, ``law_batch``, over vertex rows of shape
+(N, 3, 3) and each row's law family; ``measure``, ``trig_report``,
+``lcs_residuals``, ``lca_residuals`` and ``sines_ratios`` are its N = 1 views.
+The family is established before the kernel runs: the block samplers accept
+rows of one family, and ``law_batch_of`` reads it off the classifier.  Each
+row's side lengths are read off the products p = <<V, W>> by the rule of
+``surfaces._side``, and its angles are measured as Minkowski products of the
+unit tangents built at each vertex, normalised by sqrt|n2| with
+n2 = <<V x W, V x W>>.  The tempolateral apex and the contractible
+spatiolateral anchor are sign tests on the vertex products g_ij = <<Vi, Vj>>.
+For de Sitter vertices r_i = g_jk - g_ij g_ik is, up to positive factors, the
+product of the tangents at Vi toward Vj and Vk, and also the (j, k) entry of
+the polar triangle's Gram matrix.
+
+A row that cannot be measured gets a status code in place of an exception;
+``LawBatch.raise_first`` raises the error its scalar call raised.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .constants import DEFAULT_TOL, Tolerances
-from .errors import DegenerateTriangle, UnsupportedFamily
-from .surfaces import _angle
+from .errors import ClampError, DegenerateTriangle, MinkTrigError, UnsupportedFamily
 from .triangles import (
     ProperKind,
     Triangle,
     TriangleClass,
     TriangleFamily,
-    _classify,
+    classify_triangle,
 )
-
-# each index with the other two in increasing order
-_ORDERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 class LawFamily(Enum):
@@ -66,6 +74,209 @@ class TrigReport:
         return max(list(self.lcs_residuals) + list(self.lca_residuals) + sines)
 
 
+# A row's law family is its index in _FAMILIES.
+_FAMILIES = tuple(LawFamily)
+_HYP, _SPATIO_NC, _SPATIO_C, _TEMPO = range(4)
+
+# Row statuses.  A row that fails gets the first failure in the order the
+# scalar calls met them: no unique apex or anchor, then an angle beyond its
+# clamp band, then a vanishing law-of-sines denominator.
+OK, NOT_UNIQUE, CLAMP, SINE = range(4)
+
+_JSIGN = np.array([-1.0, 1.0, 1.0])
+# Side i joins vertices _J[i] and _K[i] (a = BC, b = AC, c = AB); the same
+# index pairs give, for each i, the other two indices j < k.
+_J = np.array([1, 0, 0])
+_K = np.array([2, 2, 1])
+# Each index's successor and the one after, mod 3: cross product components
+# are (x x y)_m = x_{m+1} y_{m+2} - x_{m+2} y_{m+1}.
+_NEXT = np.array([1, 2, 0])
+_AFTER = np.array([2, 0, 1])
+# The tangents at vertex _TV toward _TW run along side _TS; tangents 2i and
+# 2i + 1 are the legs of the angle at vertex i.
+_TV = np.array([0, 0, 1, 1, 2, 2])
+_TW = np.array([1, 2, 0, 2, 0, 1])
+_TS = np.array([2, 1, 2, 0, 1, 0])
+# Relabelings that move vertex i to A, the others keeping their order.
+_ORDERS = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
+
+# One row per law family.  With (i; j, k) running over (a; b, c), (b; a, c),
+# (c; a, b), and with sc, ss, ac, as the side and angle cos/sin pairs (cosh
+# and sinh where the first two columns say so), the laws read
+#
+#     sc(i) = sc(j) sc(k) + lcs[i] ac(i) ss(j) ss(k)
+#     ac(i) = lca_product ac(j) ac(k) + lca[i] sc(i) as(j) as(k)
+#     as(i) / ss(i) is the same for i = a, b, c.
+#
+# Sign triples are in side order a, b, c.  The kernel puts the contractible
+# spatiolateral anchor and the tempolateral apex at A, so side a is where those
+# two rows break their pattern.
+#   columns: hyperbolic sides, hyperbolic angles, lcs product (always 1),
+#            lca_product, lcs a, b, c, lca a, b, c
+_LAWS = np.array([
+    [1.0, 0.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0],  # HYP
+    [0.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0],  # SPATIO_NC
+    [0.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0],  # SPATIO_C
+    [1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0],  # TEMPO
+])
+# The six equations, lcs a, b, c then lca a, b, c, over the six values sides
+# a, b, c then angles alpha, beta, gamma: equation e reads value e, its two
+# partners _EJ[e] and _EK[e], and the other group's value _SWAP[e].
+_EJ = np.array([1, 0, 0, 4, 3, 3])
+_EK = np.array([2, 2, 1, 5, 5, 4])
+_SWAP = np.array([3, 4, 5, 0, 1, 2])
+_GROUP = np.array([0, 0, 0, 1, 1, 1])  # the hyperbolic column of each value
+_PRODUCT = _GROUP + 2  # the product sign column of each equation
+
+
+def _mink(x, y):
+    """<<x, y>> over the last axis, summed in the order of mink.minkowski_product."""
+    return (x * y * _JSIGN).sum(axis=-1)
+
+
+def _products(V):
+    """p = <<Vj, Vk>>, the cross product n = Vj x Vk and n2 = <<n, n>> across
+    each side of each row of V, shape (N, 3, 3)."""
+    P, Q = V.take(_J, axis=1), V.take(_K, axis=1)
+    n = (P.take(_NEXT, axis=-1) * Q.take(_AFTER, axis=-1)
+         - P.take(_AFTER, axis=-1) * Q.take(_NEXT, axis=-1))
+    return _mink(P, Q), n, _mink(n, n)
+
+
+def _lengths(p, family):
+    """Side lengths by the rule of surfaces._side, for sides of the kind the
+    law family has: arcosh(-p) on a sheet, arccos p spacelike, arcosh p
+    timelike."""
+    family = family[:, None]
+    x = np.where(family == _HYP, -p, p)
+    return np.where((family == _SPATIO_NC) | (family == _SPATIO_C),
+                    np.arccos(np.minimum(np.maximum(x, -1.0), 1.0)),
+                    np.arccosh(np.maximum(x, 1.0)))
+
+
+def _vertex_hits(family, p):
+    """Per vertex, whether it is the tempolateral apex (r_i > 0) or the
+    contractible anchor (r_j > 0 and r_k > 0); False in other families."""
+    positive = (p - p.take(_J, axis=1) * p.take(_K, axis=1)) > 0.0
+    family = family[:, None]
+    return np.where(family == _TEMPO, positive,
+                    positive.take(_J, axis=1) & positive.take(_K, axis=1)
+                    & (family == _SPATIO_C))
+
+
+def _angles(V, family, p, n2, tol: Tolerances):
+    """Angles at A, B, C, each read off the Minkowski product of the unit
+    tangents toward the other two vertices, and each row's clamp verdict.
+    The sides of a law family are never lightlike, so every tangent is
+    normalised by sqrt|n2|."""
+    sheet = (family == _HYP)[:, None]
+    At, ps = V.take(_TV, axis=1), p.take(_TS, axis=1)
+    coef = np.where(sheet, -ps, ps)  # on a sheet B + pA, else B - pA
+    norm = np.sqrt(np.abs(n2.take(_TS, axis=1)))
+    T = (V.take(_TW, axis=1) - coef[..., None] * At) / norm[..., None]
+    prod = _mink(T[:, 0::2], T[:, 1::2])
+    size = np.abs(prod)
+    angles = np.where(sheet, np.arccos(np.minimum(np.maximum(prod, -1.0), 1.0)),
+                      np.arccosh(np.maximum(size, 1.0)))
+    beyond = np.where(sheet, size - 1.0, 1.0 - size) > tol.eps_clamp
+    return angles, beyond.any(axis=1)
+
+
+def _laws(family, sides, angles):
+    """Residuals of the six law-of-cosines equations (sides a, b, c, then
+    angles), the law-of-sines ratios, and where a ratio's denominator vanishes."""
+    law = _LAWS.take(family, axis=0)
+    values = np.concatenate((sides, angles), axis=1)
+    hyperbolic = law.take(_GROUP, axis=1) > 0.0
+    c = np.where(hyperbolic, np.cosh(values), np.cos(values))
+    s = np.where(hyperbolic, np.sinh(values), np.sin(values))
+    cj, ck = c.take(_EJ, axis=1), c.take(_EK, axis=1)
+    sj, sk = s.take(_EJ, axis=1), s.take(_EK, axis=1)
+    residuals = np.abs(c - (law.take(_PRODUCT, axis=1) * cj * ck
+                            + law[:, 4:] * c.take(_SWAP, axis=1) * sj * sk))
+    vanishing = np.abs(s[:, :3]) < 1e-300
+    ratios = s[:, 3:] / np.where(vanishing, 1.0, s[:, :3])
+    return residuals, ratios, vanishing.any(axis=1)
+
+
+class LawBatch(NamedTuple):
+    """Measurements and law residuals of N triangles, one row each.
+
+    Rows whose status is not OK hold no meaningful values.  Sides and angles
+    are in the family's canonical labeling (see ``measure``).
+    """
+
+    status: np.ndarray  # (N,) status codes
+    family: np.ndarray  # (N,) law family codes, indices into LawFamily
+    sides: np.ndarray  # (N, 3)
+    angles: np.ndarray  # (N, 3)
+    lcs: np.ndarray  # (N, 3) law-of-cosines-for-sides residuals
+    lca: np.ndarray  # (N, 3) law-of-cosines-for-angles residuals
+    ratios: np.ndarray  # (N, 3) law-of-sines ratios
+    max_residual: np.ndarray  # (N,) as TrigReport.max_residual
+    hits: np.ndarray  # (N,) apex or anchor candidates found
+
+    def families(self) -> list:
+        return [_FAMILIES[f] for f in self.family.tolist()]
+
+    def angle_sums(self) -> list:
+        """Angle sum of each hyperbolic row, None elsewhere."""
+        sums = (self.angles[:, 0] + self.angles[:, 1] + self.angles[:, 2]).tolist()
+        return [s if f == _HYP else None for s, f in zip(sums, self.family.tolist())]
+
+    def side_sums(self) -> list:
+        """Side sum of each spatiolateral row, None elsewhere."""
+        sums = (self.sides[:, 0] + self.sides[:, 1] + self.sides[:, 2]).tolist()
+        return [s if f in (_SPATIO_NC, _SPATIO_C) else None
+                for s, f in zip(sums, self.family.tolist())]
+
+    def raise_first(self) -> None:
+        """Raise the error the scalar call raised on the first row that is
+        not OK, if any."""
+        bad = np.flatnonzero(self.status != OK)
+        if not bad.size:
+            return
+        i = int(bad[0])
+        status = self.status[i]
+        if status == NOT_UNIQUE:
+            what = "apex" if self.family[i] == _TEMPO else "polar anchor"
+            raise DegenerateTriangle(
+                f"expected one {what} vertex, found {int(self.hits[i])}")
+        if status == CLAMP:
+            raise ClampError("an angle's arccos/arcosh argument is beyond the clamp band")
+        raise DegenerateTriangle("law of sines has a vanishing denominator")
+
+
+def law_batch(vertices, family, tol: Tolerances = DEFAULT_TOL) -> LawBatch:
+    """Measure N triangles and evaluate their laws.
+
+    ``vertices`` has shape (N, 3, 3): row n holds the coordinates of A, B and
+    C of a non-degenerate triangle whose law family is ``family[n]``, an index
+    into LawFamily.  The family is the caller's to establish: the samplers
+    accept rows by it, and ``law_batch_of`` reads it off the classifier.
+    """
+    V = np.asarray(vertices, dtype=float).reshape(-1, 3, 3)
+    family = np.asarray(family, dtype=int)
+    p, _, n2 = _products(V)
+    hits = _vertex_hits(family, p)
+    count = hits.sum(axis=1)
+    angles, angle_clamp = _angles(V, family, p, n2, tol)
+
+    rows = np.arange(len(V))[:, None]
+    order = _ORDERS[np.argmax(hits, axis=1)]  # the identity where no hits
+    sides, angles = _lengths(p, family)[rows, order], angles[rows, order]
+    residuals, ratios, vanishing = _laws(family, sides, angles)
+    max_residual = np.maximum(residuals.max(axis=1),
+                              np.abs(ratios - ratios.take(_NEXT, axis=1)).max(axis=1))
+
+    choose = (family == _TEMPO) | (family == _SPATIO_C)
+    status = np.where(vanishing, SINE, OK)
+    status = np.where(angle_clamp, CLAMP, status)
+    status = np.where(choose & (count != 1), NOT_UNIQUE, status)
+    return LawBatch(status, family, sides, angles, residuals[:, :3],
+                    residuals[:, 3:], ratios, max_residual, count)
+
+
 def _law_family(cls: TriangleClass) -> LawFamily:
     if cls.degenerate:
         raise DegenerateTriangle("trig laws are stated for non-degenerate triangles")
@@ -80,11 +291,21 @@ def _law_family(cls: TriangleClass) -> LawFamily:
     raise UnsupportedFamily(f"no trig laws for {cls.family}/{cls.proper_kind}")
 
 
-def _unique(hits: list, what: str) -> int:
-    found = [i for i, hit in enumerate(hits) if hit]
-    if len(found) != 1:
-        raise DegenerateTriangle(f"expected one {what}, found {len(found)}")
-    return found[0]
+def law_batch_of(triangles, tol: Tolerances = DEFAULT_TOL) -> LawBatch:
+    """law_batch of triangles whose family the classifier reads off first.
+
+    The first triangle that has no laws or is degenerate raises its error,
+    after any earlier row's: the order a loop of scalar calls would meet them.
+    """
+    rows, families = [], []
+    for t in triangles:
+        try:
+            families.append(_FAMILIES.index(_law_family(classify_triangle(t, tol)[0])))
+        except MinkTrigError:
+            law_batch(rows, families, tol).raise_first()
+            raise
+        rows.append([v.coords.as_tuple() for v in t.vertices()])
+    return law_batch(rows, families, tol)
 
 
 def measure(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> TriangleMeasurements:
@@ -95,89 +316,31 @@ def measure(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> TriangleMeasurements:
     spatiolateral triangles A is the vertex whose polar vertex sits alone on
     its hyperboloid sheet (r_j, r_k > 0), so the polar side a' is not strange.
     """
-    cls, _, g = _classify(t, tol)
-    family = _law_family(cls)
-    p = [s.p for s in g.sides]  # p[i] = <<Vj, Vk>>, across side i
-    r = [p[i] - p[j] * p[k] for i, j, k in _ORDERS]
-    first, apex, anchor = 0, None, None
-    if family is LawFamily.TEMPO:
-        first, apex = _unique([x > 0.0 for x in r], "apex vertex"), "A"
-    elif family is LawFamily.SPATIO_C:
-        first = _unique([r[j] > 0.0 and r[k] > 0.0 for _, j, k in _ORDERS],
-                        "polar anchor vertex")
-        anchor = "a"
-
-    # the side joining Vi and Vj is the side across Vk
-    verts = t.vertices()
-    angles = [_angle(verts[i], verts[j], verts[k], g.sides[k], g.sides[j], tol)
-              for i, j, k in _ORDERS]
-    order = _ORDERS[first]
+    b = law_batch_of([t], tol)
+    b.raise_first()
+    family = _FAMILIES[int(b.family[0])]
     return TriangleMeasurements(
         family=family,
-        sides=tuple(g.sides[i].length for i in order),
-        angles=tuple(angles[i] for i in order),
-        apex=apex,
-        polar_anchor=anchor,
+        sides=tuple(b.sides[0].tolist()),
+        angles=tuple(b.angles[0].tolist()),
+        apex="A" if family is LawFamily.TEMPO else None,
+        polar_anchor="a" if family is LawFamily.SPATIO_C else None,
     )
 
 
-class _Laws(NamedTuple):
-    """One family's laws of cosines and sines, as functions and signs.
-
-    With (i; j, k) running over (a; b, c), (b; a, c), (c; a, b), and with
-    sc, ss, ac, as the side and angle cos/sin pairs of the row, the laws read
-
-        sc(i) = sc(j) sc(k) + lcs[i] ac(i) ss(j) ss(k)
-        ac(i) = lca_product ac(j) ac(k) + lca[i] sc(i) as(j) as(k)
-        as(i) / ss(i) is the same for i = a, b, c.
-    """
-
-    side_cos: Callable[[float], float]
-    side_sin: Callable[[float], float]
-    angle_cos: Callable[[float], float]
-    angle_sin: Callable[[float], float]
-    lcs: tuple
-    lca_product: float
-    lca: tuple
-
-
-# Sign triples are in side order a, b, c.  measure() puts the contractible
-# spatiolateral anchor and the tempolateral apex at A, so side a is where those
-# two rows break their pattern.
-_LAWS = {
-    LawFamily.HYP: _Laws(math.cosh, math.sinh, math.cos, math.sin,
-                         (-1.0, -1.0, -1.0), -1.0, (1.0, 1.0, 1.0)),
-    LawFamily.SPATIO_NC: _Laws(math.cos, math.sin, math.cosh, math.sinh,
-                               (-1.0, -1.0, -1.0), 1.0, (1.0, 1.0, 1.0)),
-    LawFamily.SPATIO_C: _Laws(math.cos, math.sin, math.cosh, math.sinh,
-                              (-1.0, 1.0, 1.0), 1.0, (1.0, -1.0, -1.0)),
-    LawFamily.TEMPO: _Laws(math.cosh, math.sinh, math.cosh, math.sinh,
-                           (1.0, -1.0, -1.0), 1.0, (1.0, -1.0, -1.0)),
-}
+def _laws_of(m: TriangleMeasurements):
+    return _laws(np.array([_FAMILIES.index(m.family)]),
+                 np.array([m.sides], dtype=float), np.array([m.angles], dtype=float))
 
 
 def lcs_residuals(m: TriangleMeasurements) -> tuple:
     """Residuals of the three law-of-cosines-for-sides equations."""
-    law = _LAWS[m.family]
-    cs = [law.side_cos(x) for x in m.sides]
-    ss = [law.side_sin(x) for x in m.sides]
-    return tuple(
-        abs(cs[i] - (cs[j] * cs[k]
-                     + law.lcs[i] * law.angle_cos(m.angles[i]) * ss[j] * ss[k]))
-        for i, j, k in _ORDERS
-    )
+    return tuple(_laws_of(m)[0][0, :3].tolist())
 
 
 def lca_residuals(m: TriangleMeasurements) -> tuple:
     """Residuals of the three law-of-cosines-for-angles equations."""
-    law = _LAWS[m.family]
-    ca = [law.angle_cos(x) for x in m.angles]
-    sa = [law.angle_sin(x) for x in m.angles]
-    return tuple(
-        abs(ca[i] - (law.lca_product * ca[j] * ca[k]
-                     + law.lca[i] * law.side_cos(m.sides[i]) * sa[j] * sa[k]))
-        for i, j, k in _ORDERS
-    )
+    return tuple(_laws_of(m)[0][0, 3:].tolist())
 
 
 def sines_ratios(m: TriangleMeasurements) -> tuple:
@@ -189,11 +352,10 @@ def sines_ratios(m: TriangleMeasurements) -> tuple:
     spatiolateral and tempolateral families carries a minus sign; that sign
     cancels against the signed angle and is not observable in magnitudes.
     """
-    law = _LAWS[m.family]
-    dens = [law.side_sin(x) for x in m.sides]
-    if any(abs(d) < 1e-300 for d in dens):
+    _, ratios, vanishing = _laws_of(m)
+    if vanishing[0]:
         raise DegenerateTriangle("law of sines has a vanishing denominator")
-    return tuple(law.angle_sin(x) / d for x, d in zip(m.angles, dens))
+    return tuple(ratios[0].tolist())
 
 
 def angle_sum_check(m: TriangleMeasurements) -> float:
@@ -211,16 +373,13 @@ def side_sum_check(m: TriangleMeasurements) -> float:
 
 
 def trig_report(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> TrigReport:
-    m = measure(t, tol)
+    b = law_batch_of([t], tol)
+    b.raise_first()
     return TrigReport(
-        family=m.family,
-        lcs_residuals=lcs_residuals(m),
-        lca_residuals=lca_residuals(m),
-        sines_ratios=sines_ratios(m),
-        angle_sum=angle_sum_check(m) if m.family is LawFamily.HYP else None,
-        side_sum=(
-            side_sum_check(m)
-            if m.family in (LawFamily.SPATIO_NC, LawFamily.SPATIO_C)
-            else None
-        ),
+        family=_FAMILIES[int(b.family[0])],
+        lcs_residuals=tuple(b.lcs[0].tolist()),
+        lca_residuals=tuple(b.lca[0].tolist()),
+        sines_ratios=tuple(b.ratios[0].tolist()),
+        angle_sum=b.angle_sums()[0],
+        side_sum=b.side_sums()[0],
     )

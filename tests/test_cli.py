@@ -4,8 +4,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from minktrig import cli, trig
 from minktrig.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 
 from conftest import SQRT2
@@ -163,8 +165,72 @@ class TestVerify:
         assert err.startswith("input error: --count")
 
     def test_unsupported_family_exit_3(self, capsys, monkeypatch):
-        code, _, _ = run_cli(capsys, monkeypatch, ["verify"], stdin=CHRONO)
+        code, _, err = run_cli(capsys, monkeypatch, ["verify"], stdin=CHRONO)
         assert code == EXIT_DOMAIN
+        assert err.startswith("UnsupportedFamily")
+
+    @pytest.mark.parametrize("family", ["chorosceles", "lucilateral", "strange"])
+    def test_unsupported_sampled_family_exit_3(self, capsys, monkeypatch, family):
+        # refused before any triangle is sampled
+        monkeypatch.setattr(cli, "sample_triangle", None)
+        code, out, err = run_cli(
+            capsys, monkeypatch,
+            ["verify", "--sample", family, "--count", "1000", "--seed", "4"],
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("UnsupportedFamily")
+
+    def test_mixed_batch_fails_at_its_first_row_without_laws(self, capsys,
+                                                             monkeypatch):
+        # the first five rows of a mixed batch are one of each law family
+        code, out, _ = run_cli(
+            capsys, monkeypatch, ["verify", "--sample", "mixed", "--count", "5"])
+        assert code == EXIT_OK
+        assert len(json.loads(out)["reports"]) == 5
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["verify", "--sample", "mixed", "--count", "6"])
+        assert code == EXIT_DOMAIN
+        assert err.startswith("UnsupportedFamily")
+
+    def test_degenerate_triangle_exit_3(self, capsys, monkeypatch):
+        payload = triangle_payload((0, 1, 0), (0, 0, 1), (0, SQRT2 / 2, SQRT2 / 2))
+        code, out, err = run_cli(capsys, monkeypatch, ["verify"], stdin=payload)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("DegenerateTriangle")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--sample", "tempolateral", "--count", "3", "--seed", "5"],
+        ["verify"],
+    ])
+    def test_no_unique_apex_exit_3(self, capsys, monkeypatch, argv):
+        # no triangle the samplers accept lacks an apex, so the kernel's
+        # sign test is made to find none
+        monkeypatch.setattr(trig, "_vertex_hits",
+                            lambda family, p: np.zeros(p.shape, dtype=bool))
+        tempo = triangle_payload(
+            (0.06342978900812468, 0.8890758331676081, 0.4621336397741879),
+            (1.004023020338628, 1.139722326699522, 0.8420779318997318),
+            (-0.1978536994988652, 0.8399624866107704, 0.5775890472403702))
+        code, out, err = run_cli(capsys, monkeypatch, argv, stdin=tempo)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("DegenerateTriangle: expected one apex vertex, found 0")
+
+    def test_sampled_reports_keep_their_keys(self, capsys, monkeypatch):
+        code, out, _ = run_cli(
+            capsys, monkeypatch,
+            ["verify", "--sample", "spatiolateral_contractible", "--count", "3"],
+        )
+        assert code == EXIT_OK
+        for report in json.loads(out)["reports"]:
+            assert list(report) == [
+                "family", "lcs_residuals", "lca_residuals", "sines_ratios",
+                "angle_sum", "side_sum", "max_residual", "within_tolerance"]
+            assert report["family"] == "spatiolateral_contractible"
+            assert report["angle_sum"] is None
+            assert report["side_sum"] < 2 * math.pi
 
 
 class TestExportGeodesic:
@@ -196,6 +262,7 @@ class TestExportGeodesic:
         assert out == ""
         assert err.startswith("input error: --samples")
 
+    @pytest.mark.filterwarnings("error")
     def test_empty_segment_exit_3(self, capsys, monkeypatch):
         payload = json.dumps({"schema": "minktrig/1",
                               "a": [0, 1, 0], "b": [0, -1, 0]})
@@ -229,3 +296,43 @@ class TestSample:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("input error: --count")
+
+
+class TestProcess:
+    def test_subcommands_in_a_row_share_one_parser(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, monkeypatch, ["classify"], stdin=CHRONO)
+        assert code == EXIT_OK
+        assert json.loads(out)["proper_kind"] == "chronosceles"
+        code, out, _ = run_cli(capsys, monkeypatch, ["verify"], stdin=HYP)
+        assert code == EXIT_OK
+        assert json.loads(out)["reports"][0]["family"] == "hyperbolic"
+        code, out, _ = run_cli(capsys, monkeypatch, ["polar"], stdin=HYP)
+        assert code == EXIT_OK
+        assert len(json.loads(out)["vertices"]) == 3
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_argument_errors_still_exit_2(self, capsys, monkeypatch):
+        main(["sample", "--family", "hyperbolic", "--count", "1"])  # builds it
+        capsys.readouterr()
+        for argv, message in (
+            (["verify", "--count", "many"], "invalid int value: 'many'"),
+            (["sample", "--family", "euclidean"], "invalid choice: 'euclidean'"),
+            ([], "the following arguments are required: command"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, stdin", [
+        (["verify", "--sample", "tempolateral", "--count", "50"], None),
+        (["classify"], triangle_payload((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    ])
+    def test_output_is_the_bytes_json_dump_writes(self, capsys, monkeypatch,
+                                                  argv, stdin):
+        # floats and key order survive a round trip through json, and the
+        # classify payload's infinite lengths are already the string "inf"
+        _, out, _ = run_cli(capsys, monkeypatch, argv, stdin=stdin)
+        expected = io.StringIO()
+        json.dump(json.loads(out), expected)
+        assert out == expected.getvalue() + "\n"

@@ -13,8 +13,10 @@ from minktrig.errors import (
     UnsupportedFamily,
 )
 from minktrig.samplers import (
+    _BLOCK_KINDS,
     FAMILIES,
     SampleSpec,
+    _sample_rows,
     arc_length_oracle,
     sample_point,
     sample_segment,
@@ -80,6 +82,52 @@ class TestSampleTriangle:
         with pytest.raises(RejectionBudgetExhausted) as exc:
             sample_triangle(spec)
         assert exc.value.attempts == 2
+
+
+class TestBlockSampling:
+    """The five law families, drawn in blocks of candidate rows."""
+
+    @pytest.mark.parametrize("family", list(_BLOCK_KINDS))
+    def test_deterministic_under_seed(self, family):
+        spec = SampleSpec(family=family, count=300, seed=51)
+        rows = _sample_rows(spec)[0]
+        assert rows.shape == (300, 3, 3)
+        assert np.array_equal(rows, _sample_rows(spec)[0])
+        again = [[v.coords.as_tuple() for v in t.vertices()]
+                 for t in sample_triangle(spec)]
+        assert np.array_equal(rows, np.array(again))
+        other = _sample_rows(SampleSpec(family=family, count=300, seed=52))[0]
+        assert not np.array_equal(rows, other)
+
+    @pytest.mark.parametrize("family", list(_BLOCK_KINDS))
+    def test_count_one(self, family):
+        for seed in range(5):
+            (t,) = sample_triangle(SampleSpec(family=family, count=1, seed=seed))
+            cls, _ = classify_triangle(t)
+            if family == "hyperbolic":
+                assert cls.family is TriangleFamily.HYPERBOLIC
+            elif family == "antipodal_hyperbolic":
+                assert cls.family is TriangleFamily.ANTIPODAL_HYPERBOLIC
+            else:
+                assert cls.proper_kind is ProperKind(family)
+
+    @pytest.mark.parametrize("family, count, budget", [
+        ("hyperbolic", 5, 2),
+        ("spatiolateral_contractible", 400, 500),
+    ])
+    def test_budget_counts_candidates(self, family, count, budget):
+        # about half the contractible candidates are accepted, so 500 cannot
+        # give 400
+        spec = SampleSpec(family=family, count=count, seed=53,
+                          rejection_budget=budget)
+        with pytest.raises(RejectionBudgetExhausted) as exc:
+            _sample_rows(spec)
+        assert exc.value.attempts == budget
+        assert exc.value.accepted < count
+
+    def test_mixed_batches_take_single_block_rows(self):
+        triangles = sample_triangle(SampleSpec(family="mixed", count=30, seed=54))
+        assert len(triangles) == 30
 
 
 class TestArcLengthOracle:
