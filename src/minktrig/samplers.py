@@ -430,6 +430,10 @@ def _tempolateral_rows(rng, spec: SampleSpec, size: int):
     return W @ M.transpose(0, 2, 1)
 
 
+# Rows per candidate block at most, so that memory stays bounded when few
+# candidates pass (a block of 2**16 rows holds about 5 MB per array).
+_MAX_BLOCK = 1 << 16
+
 _BLOCK_CANDIDATES = {
     "hyperbolic": _hyperbolic_rows,
     "antipodal_hyperbolic": _hyperbolic_rows,
@@ -445,7 +449,8 @@ def _sample_rows(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
     arguments of trig.law_batch.
 
     Candidates are drawn in blocks, each sized from the rows still needed and
-    the share accepted so far.  spec.rejection_budget counts candidates.
+    the share accepted so far, up to _MAX_BLOCK rows.  spec.rejection_budget
+    counts candidates.
     """
     rng = np.random.default_rng(spec.seed)
     draw = _BLOCK_CANDIDATES[spec.family]
@@ -453,7 +458,8 @@ def _sample_rows(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
     while accepted < spec.count:
         need = spec.count - accepted
         rate = max(accepted, 1) / attempts if attempts else 1.0
-        size = min(int(1.1 * need / rate) + 1, spec.rejection_budget - attempts)
+        size = min(int(1.1 * need / rate) + 1, _MAX_BLOCK,
+                   spec.rejection_budget - attempts)
         if size <= 0:
             raise RejectionBudgetExhausted(spec.family, attempts, accepted)
         V = draw(rng, spec, size)

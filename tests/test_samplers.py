@@ -12,6 +12,7 @@ from minktrig.errors import (
     RejectionBudgetExhausted,
     UnsupportedFamily,
 )
+from minktrig import samplers
 from minktrig.samplers import (
     _BLOCK_KINDS,
     FAMILIES,
@@ -124,6 +125,24 @@ class TestBlockSampling:
             _sample_rows(spec)
         assert exc.value.attempts == budget
         assert exc.value.accepted < count
+
+    def test_blocks_stay_bounded_when_nothing_is_accepted(self, monkeypatch):
+        # points this close to e1 make every side shorter than the 0.05 floor
+        sizes = []
+        draw = samplers._BLOCK_CANDIDATES["hyperbolic"]
+
+        def recording(rng, spec, size):
+            sizes.append(size)
+            return draw(rng, spec, size)
+
+        monkeypatch.setitem(samplers._BLOCK_CANDIDATES, "hyperbolic", recording)
+        spec = SampleSpec(family="hyperbolic", count=5, seed=56, max_rapidity=1e-4,
+                          rejection_budget=300_000)
+        with pytest.raises(RejectionBudgetExhausted) as exc:
+            _sample_rows(spec)
+        assert (exc.value.attempts, exc.value.accepted) == (300_000, 0)
+        assert sum(sizes) == 300_000
+        assert max(sizes) == samplers._MAX_BLOCK
 
     def test_mixed_batches_take_single_block_rows(self):
         triangles = sample_triangle(SampleSpec(family="mixed", count=30, seed=54))
