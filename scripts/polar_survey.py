@@ -28,11 +28,11 @@ def class_label(cls) -> str:
     return base
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     table = defaultdict(Counter)
     spec = SampleSpec(family="mixed", count=args.count, seed=args.seed)

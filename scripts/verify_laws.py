@@ -20,7 +20,7 @@ LAW_FAMILIES = tuple(_BLOCK_KINDS)
 
 
 def summarize(family: str, count: int, seed: int) -> dict:
-    batch = law_batch(*_sample_rows(SampleSpec(family=family, count=count, seed=seed)))
+    batch = law_batch(_sample_rows(SampleSpec(family=family, count=count, seed=seed)))
     batch.raise_first()
     residuals = batch.max_residual
     out = {"max_residual": float(residuals.max()),
@@ -34,13 +34,13 @@ def summarize(family: str, count: int, seed: int) -> dict:
     return out
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--families", nargs="+", default=list(LAW_FAMILIES),
                         choices=LAW_FAMILIES)
     parser.add_argument("--count", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     for family in args.families:
         stats = summarize(family, args.count, args.seed)

@@ -25,7 +25,7 @@ from .samplers import _BLOCK_KINDS, FAMILIES, SampleSpec, _sample_rows, sample_t
 from .surfaces import distance, segment_kind, segment_point, surface_point
 from .surfaces import SegmentKind
 from .triangles import Triangle, classify_triangle, triangle_inequality_report
-from .trig import LawBatch, law_batch, law_batch_of
+from .trig import LawBatch, law_batch
 
 SCHEMA = "minktrig/1"
 
@@ -177,15 +177,18 @@ def _verify_batch(args) -> LawBatch:
         if args.file:
             raise InputError("--sample and --file are mutually exclusive")
         count = _at_least(args.count, 1, "--count")
-        spec = SampleSpec(family=args.sample, count=count, seed=args.seed)
+        spec = SampleSpec(family=args.sample, count=count,
+                          seed=_at_least(args.seed, 0, "--seed"))
         if spec.family in _BLOCK_KINDS:
-            return law_batch(*_sample_rows(spec))
+            return law_batch(_sample_rows(spec))
         if spec.family != "mixed":  # no triangle of the family has laws
             raise UnsupportedFamily(f"no trig laws for {spec.family} triangles")
-        return law_batch_of(sample_triangle(spec))
-    data = _load_json(args)
-    _check_fields(data, {"vertices"}, args.strict)
-    return law_batch_of([_parse_triangle(data)])
+        triangles = sample_triangle(spec)
+    else:
+        data = _load_json(args)
+        _check_fields(data, {"vertices"}, args.strict)
+        triangles = [_parse_triangle(data)]
+    return law_batch([_triangle_json(t) for t in triangles])
 
 
 def cmd_verify(args) -> int:
@@ -252,7 +255,8 @@ def cmd_export_geodesic(args) -> int:
 
 def cmd_sample(args) -> int:
     count = _at_least(args.count, 1, "--count")
-    spec = SampleSpec(family=args.family, count=count, seed=args.seed)
+    spec = SampleSpec(family=args.family, count=count,
+                      seed=_at_least(args.seed, 0, "--seed"))
     triangles = sample_triangle(spec)
     _emit({"family": args.family, "seed": args.seed,
            "triangles": [_triangle_json(t) for t in triangles]})

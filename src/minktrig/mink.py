@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-from .constants import DEFAULT_TOL, Tolerances
 
 J_MATRIX = np.diag([-1.0, 1.0, 1.0])
 
@@ -57,19 +54,10 @@ class MVec3:
     def euclid_norm(self) -> float:
         return math.sqrt(self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3)
 
-    def is_zero(self) -> bool:
-        return self.x1 == 0.0 and self.x2 == 0.0 and self.x3 == 0.0
-
 
 E1 = MVec3(1.0, 0.0, 0.0)
 E2 = MVec3(0.0, 1.0, 0.0)
 E3 = MVec3(0.0, 0.0, 1.0)
-
-
-class CausalClass(Enum):
-    TIMELIKE = "timelike"
-    LIGHTLIKE = "lightlike"
-    SPACELIKE = "spacelike"
 
 
 def minkowski_product(x: MVec3, y: MVec3) -> float:
@@ -84,17 +72,6 @@ def euclid_dot(x: MVec3, y: MVec3) -> float:
     return x.x1 * y.x1 + x.x2 * y.x2 + x.x3 * y.x3
 
 
-def classify_vector(x: MVec3, tol: Tolerances = DEFAULT_TOL) -> CausalClass:
-    """Causal class of x.  The zero vector counts as spacelike by convention."""
-    if x.is_zero():
-        return CausalClass.SPACELIKE
-    q = minkowski_product(x, x)
-    scale = max(1.0, x.x1 * x.x1 + x.x2 * x.x2 + x.x3 * x.x3)
-    if abs(q) <= tol.eps_light * scale:
-        return CausalClass.LIGHTLIKE
-    return CausalClass.TIMELIKE if q < 0.0 else CausalClass.SPACELIKE
-
-
 def cross(x: MVec3, y: MVec3) -> MVec3:
     """Euclidean cross product.  J(x cross y) is Minkowski-orthogonal to x and y."""
     return MVec3(
@@ -107,11 +84,6 @@ def cross(x: MVec3, y: MVec3) -> MVec3:
 def j_transform(x: MVec3) -> MVec3:
     """Negate the time component.  An involution and a Lorentz transformation."""
     return MVec3(-x.x1, x.x2, x.x3)
-
-
-def det3(a: MVec3, b: MVec3, c: MVec3) -> float:
-    """Determinant of the matrix with columns a, b, c; equals <a x b, c> (Euclidean)."""
-    return euclid_dot(cross(a, b), c)
 
 
 def apply_matrix(m: np.ndarray, x: MVec3) -> MVec3:

@@ -7,10 +7,11 @@ them.  Every emitted triangle is validated against the classifier before it
 is returned.
 
 The five families that have trig laws (hyperbolic, antipodal hyperbolic, both
-spatiolateral kinds, tempolateral) are drawn in blocks of candidate rows and
-accepted with array versions of the classifier's checks, sized from the rows
-still needed; ``_sample_rows`` returns their vertex arrays and
-``sample_triangle`` wraps them into triangles.
+spatiolateral kinds, tempolateral) are drawn in blocks of candidate rows,
+sized from the rows still needed, and accepted by the array classifier
+``triangles._classify_rows`` with the conditioning bands of
+``_well_conditioned``; ``_sample_rows`` returns their vertex rows, the input
+of ``trig.law_batch``, and ``sample_triangle`` wraps them into triangles.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .mink import E2, MVec3, apply_matrix, random_lorentz
 from .surfaces import (
-    _POINT_EQ_TOL,
     Component,
     SegmentKind,
     SurfacePoint,
@@ -41,8 +41,8 @@ from .surfaces import (
     surface_point,
     tangent_vector,
 )
-from .triangles import ProperKind, Triangle, TriangleFamily, _classify, _Geometry
-from .trig import _FAMILIES, _J, _K, _NEXT, LawFamily, _lengths, _mink, _products
+from .triangles import _SPACELIKE, LawFamily, ProperKind, Triangle, TriangleFamily
+from .triangles import _classify, _classify_rows, _Geometry
 
 # sampleable family names, used by SampleSpec and the CLI
 FAMILIES = (
@@ -78,6 +78,8 @@ class SampleSpec:
             raise UnsupportedFamily(f"unknown family {self.family!r}")
         if self.count < 1:
             raise ParamOutOfRange(f"count must be at least 1, got {self.count}")
+        if self.seed < 0:
+            raise ParamOutOfRange(f"seed must be at least 0, got {self.seed}")
 
 
 def sample_point(
@@ -245,7 +247,7 @@ def sample_triangle(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL) -> List[Tri
     """Batch of triangles whose classification matches spec.family."""
     if spec.family in _BLOCK_KINDS:
         return [Triangle.from_vectors(*(MVec3(*v) for v in row), tol)
-                for row in _sample_rows(spec, tol)[0].tolist()]
+                for row in _sample_rows(spec, tol).tolist()]
     rng = np.random.default_rng(spec.seed)
     if spec.family == "mixed":
         return _sample_mixed(spec, rng, tol)
@@ -290,82 +292,27 @@ def _sample_mixed(spec: SampleSpec, rng, tol) -> List[Triangle]:
 
 # -- block sampling of the law families --------------------------------------
 
-# The side kind all three sides of each block-sampled family have, and the law
-# family its triangles are measured in.
+# The class of each block-sampled family's rows: their triangle family and
+# the law family they are measured in.
 _BLOCK_KINDS = {
-    "hyperbolic": (SegmentKind.HYPERBOLIC, LawFamily.HYP),
-    "antipodal_hyperbolic": (SegmentKind.ANTIPODAL_HYPERBOLIC, LawFamily.HYP),
-    "spatiolateral_contractible": (SegmentKind.DE_SITTER_SPACELIKE,
-                                   LawFamily.SPATIO_C),
-    "spatiolateral_noncontractible": (SegmentKind.DE_SITTER_SPACELIKE,
-                                      LawFamily.SPATIO_NC),
-    "tempolateral": (SegmentKind.DE_SITTER_TIMELIKE, LawFamily.TEMPO),
+    "hyperbolic": (TriangleFamily.HYPERBOLIC, LawFamily.HYP),
+    "antipodal_hyperbolic": (TriangleFamily.ANTIPODAL_HYPERBOLIC, LawFamily.HYP),
+    "spatiolateral_contractible": (TriangleFamily.PROPER, LawFamily.SPATIO_C),
+    "spatiolateral_noncontractible": (TriangleFamily.PROPER, LawFamily.SPATIO_NC),
+    "tempolateral": (TriangleFamily.PROPER, LawFamily.TEMPO),
 }
-# Arrays code a side kind as its index in SegmentKind, and a vertex component
-# as 0 (H2), 1 (NEG_H2), 2 (de Sitter) or -1 (off the quadric): the two sheet
-# codes are those of the HYPERBOLIC and ANTIPODAL_HYPERBOLIC kinds.
-_KINDS = tuple(SegmentKind)
-_SPACELIKE, _TIMELIKE, _LIGHTLIKE, _POINT, _EMPTY = (_KINDS.index(k) for k in (
-    SegmentKind.DE_SITTER_SPACELIKE, SegmentKind.DE_SITTER_TIMELIKE,
-    SegmentKind.DE_SITTER_LIGHTLIKE, SegmentKind.POINT, SegmentKind.EMPTY))
-_DE_SITTER = 2
-
-
-def _components(V, tol: Tolerances):
-    """classify_point of each vertex, as a component code.  For q < 0,
-    |(|q|) - 1| is |q + 1| exactly."""
-    q = _mink(V, V)
-    return np.where(np.abs(np.abs(q) - 1.0) <= tol.eps_surf,
-                    np.where(q > 0.0, _DE_SITTER, V[..., 0] <= 0.0), -1)
-
-
-def _side_kinds(V, comp, p, n, n2, tol: Tolerances):
-    """SegmentKind codes (indices into SegmentKind) of each row's sides a, b, c,
-    by the rule of surfaces._side."""
-    P, Q = V[:, _J], V[:, _K]
-    cp, cq = comp[:, _J], comp[:, _K]
-    d, s = P - Q, P + Q
-    equal = np.sqrt((d * d).sum(axis=-1)) <= _POINT_EQ_TOL
-    opposite = np.sqrt((s * s).sum(axis=-1)) <= _POINT_EQ_TOL
-    lightlike = np.abs(n2) <= tol.eps_light * np.maximum(1.0, (n * n).sum(axis=-1))
-    return np.where(
-        equal, _POINT, np.where(
-            opposite | (cp != cq) | (cp < 0), _EMPTY, np.where(
-                cp < _DE_SITTER, cp, np.where(
-                    p <= -1.0, _EMPTY, np.where(
-                        lightlike, _LIGHTLIKE,
-                        np.where(p > 1.0, _TIMELIKE, _SPACELIKE))))))
-
-
-def _winding_number(V):
-    """triangles._winding_number of each row: the turns of the x2-x3 projection
-    of the loop A -> B -> C -> A about the origin."""
-    u = V[..., 1:]
-    w = u[:, _NEXT]
-    sweep = np.arctan2(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0],
-                       (u * w).sum(axis=-1))
-    return np.round(sweep.sum(axis=1) / (2.0 * math.pi))
 
 
 def _accept_rows(spec: SampleSpec, V, tol: Tolerances):
-    """Which candidate rows _accepts would take: every vertex on the quadric,
-    pairwise distinct, all three sides of the family's kind, the winding
-    number of its contractibility, outside the det band and
-    _well_conditioned."""
-    kind, family = _BLOCK_KINDS[spec.family]
-    p, n, n2 = _products(V)
-    kinds = _side_kinds(V, _components(V, tol), p, n, n2, tol)
-    ok = (kinds == _KINDS.index(kind)).all(axis=1)
-    if kind is SegmentKind.DE_SITTER_SPACELIKE:
-        ok &= (_winding_number(V) == 0) == (family is LawFamily.SPATIO_C)
-    det = np.abs((n[:, 2] * V[:, 2]).sum(axis=-1))  # |det(A, B, C)|
-    scale = np.sqrt((V * V).sum(axis=-1)).prod(axis=-1)
-    ok &= (det > tol.eps_degen * scale) & (det >= 1e-3 * scale)
-    lengths = _lengths(p, np.full(len(V), _FAMILIES.index(family)))
-    ok &= (lengths >= 0.05).all(axis=1)
-    if kind is SegmentKind.DE_SITTER_SPACELIKE:
-        ok &= (lengths <= math.pi - 0.05).all(axis=1)
-    return ok
+    """Which candidate rows _accepts would take: the family's class, outside
+    the det band, and _well_conditioned."""
+    family, law = _BLOCK_KINDS[spec.family]
+    c = _classify_rows(V, tol)
+    ok = ((c.family == list(TriangleFamily).index(family))
+          & (c.law == list(LawFamily).index(law)) & ~c.degenerate)
+    ok &= np.abs(c.det) >= 1e-3 * c.scale
+    ok &= (c.lengths >= 0.05).all(axis=1)
+    return ok & ((c.kinds != _SPACELIKE) | (c.lengths <= math.pi - 0.05)).all(axis=1)
 
 
 def _rotations(theta):
@@ -445,8 +392,7 @@ _BLOCK_CANDIDATES = {
 
 def _sample_rows(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
     """A batch of one of the five law families (the keys of _BLOCK_KINDS):
-    its vertex rows, shape (count, 3, 3), and their law family codes, the
-    arguments of trig.law_batch.
+    its vertex rows, shape (count, 3, 3).
 
     Candidates are drawn in blocks, each sized from the rows still needed and
     the share accepted so far, up to _MAX_BLOCK rows.  spec.rejection_budget
@@ -467,8 +413,7 @@ def _sample_rows(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
         V = V[_accept_rows(spec, V, tol)][:need]
         blocks.append(V)
         accepted += len(V)
-    family = _FAMILIES.index(_BLOCK_KINDS[spec.family][1])
-    return np.concatenate(blocks), np.full(spec.count, family)
+    return np.concatenate(blocks)
 
 
 def sample_segment(

@@ -172,12 +172,6 @@ def _side(a: SurfacePoint, b: SurfacePoint, tol: Tolerances) -> _Side:
     return _Side(kind, length, p, n, n2, lightlike, opposite)
 
 
-def proper_distance(a: MVec3, b: MVec3, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Distance between two points of the Lorentzian component."""
-    return _side(SurfacePoint(a, Component.DE_SITTER),
-                 SurfacePoint(b, Component.DE_SITTER), tol).length
-
-
 def distance(a: SurfacePoint, b: SurfacePoint, tol: Tolerances = DEFAULT_TOL) -> float:
     """Generalized distance; infinite across components."""
     return _side(a, b, tol).length

@@ -1,11 +1,14 @@
-"""The array law path against the scalar classifier and a written-out reference.
+"""The array classifier and the array law kernel against the scalar path.
 
-The samplers draw the five law families in blocks and accept them with array
-versions of the classifier's checks; trig.law_batch measures the accepted rows
-and evaluates their laws.  Here both are held to the scalar path:
+triangles._classify_rows classifies vertex rows; the samplers accept candidate
+rows by it, and trig.law_batch reads each row's law family off it and
+measures the row.  Here both are held to the scalar path:
 
-- side kinds, vertex components, winding numbers, law families, the apex and
-  the anchor must be identical;
+- every TriangleClass field of each row, and each side's lightlike and
+  opposite flags, must equal the scalar classifier's, on block-sampled
+  batches, on mixed batches, on every family without laws, on degenerate
+  spatiolateral rows and on rows with opposite vertices;
+- law families, the apex and the anchor must be identical;
 - lengths and angles must agree within LENGTH_TOL, where numpy's arccos,
   arcosh and friends may round differently from the math module's (the
   largest difference measured on these batches was 4.4e-16);
@@ -21,39 +24,44 @@ import numpy as np
 import pytest
 
 from minktrig.constants import DEFAULT_TOL
-from minktrig.errors import DegenerateTriangle, MinkTrigError, UnsupportedFamily
-from minktrig.mink import MVec3
+from minktrig.errors import (
+    DegenerateTriangle,
+    MinkTrigError,
+    OffSurfaceError,
+    UnsupportedFamily,
+)
+from minktrig.mink import MVec3, apply_matrix, random_lorentz
 from minktrig.samplers import (
     _BLOCK_CANDIDATES,
     _BLOCK_KINDS,
+    FAMILIES,
     SampleSpec,
     _accept_rows,
     _accepts,
-    _components,
     _sample_rows,
-    _side_kinds,
-    _winding_number,
     sample_triangle,
 )
 from minktrig.surfaces import Component, SegmentKind, angle
-from minktrig.triangles import Triangle, _classify
-from minktrig.triangles import _winding_number as scalar_winding_number
-from minktrig.trig import (
+from minktrig.triangles import (
     LawFamily,
-    _law_family,
-    _products,
-    law_batch,
-    law_batch_of,
-    measure,
-    trig_report,
+    ProperKind,
+    Triangle,
+    TriangleClass,
+    TriangleFamily,
+    _classify,
+    _classify_rows,
 )
+from minktrig.trig import DEGENERATE, NO_LAWS, OK, law_batch, trig_report
 
 LENGTH_TOL = 2e-15
 RESIDUAL_TOL = 2e-13
 LAW_SAMPLES = list(_BLOCK_KINDS)
-FAMILIES = list(LawFamily)
-COMPONENTS = (Component.H2, Component.NEG_H2, Component.DE_SITTER)
+LAWLESS_SAMPLES = [f for f in FAMILIES if f not in _BLOCK_KINDS and f != "mixed"]
+LAWS = list(LawFamily)
+COMPONENTS = list(Component)
 KINDS = list(SegmentKind)
+TRIANGLE_FAMILIES = list(TriangleFamily)
+PROPER_KINDS = list(ProperKind)
 
 # (i; j, k) for the three equations of each law
 ORDERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
@@ -81,12 +89,49 @@ def triangles_of(V):
     return [Triangle.from_vectors(*(MVec3(*v) for v in row)) for row in V.tolist()]
 
 
+def scalar_law_family(cls):
+    """The law family of a class as the paper states it: both hyperbolic
+    families, and the proper kinds of the same name; None for the others."""
+    if cls.family in (TriangleFamily.HYPERBOLIC, TriangleFamily.ANTIPODAL_HYPERBOLIC):
+        return LawFamily.HYP
+    names = {f.value: f for f in LawFamily}
+    return names.get(cls.proper_kind.value) if cls.proper_kind else None
+
+
+def assert_classes_match(V, triangles):
+    """Every verdict of the array classifier against the scalar one, row by row."""
+    rows = _classify_rows(V, DEFAULT_TOL)
+    for n, t in enumerate(triangles):
+        cls, sides, g = _classify(t, DEFAULT_TOL)
+        kinds = [KINDS[k] for k in rows.kinds[n]]
+        proper, contractible, law = (int(rows.proper_kind[n]), int(rows.contractible[n]),
+                                     int(rows.law[n]))
+        assert TriangleClass(
+            family=TRIANGLE_FAMILIES[rows.family[n]],
+            proper_kind=PROPER_KINDS[proper] if proper >= 0 else None,
+            side_kinds=tuple(kinds),
+            impossible_sides=tuple(label for label, k in zip("abc", kinds)
+                                   if k is SegmentKind.EMPTY),
+            degenerate=bool(rows.degenerate[n]),
+            contractible=bool(contractible) if contractible >= 0 else None,
+            vertex_components=tuple(COMPONENTS[c] for c in rows.components[n]),
+            has_opposite_vertices=bool(rows.opposite[n].any()),
+            has_lightlike_side_plane=bool(rows.lightlike[n].any()),
+        ) == cls
+        assert rows.lightlike[n].tolist() == [s.lightlike for s in g.sides]
+        assert rows.opposite[n].tolist() == [s.opposite for s in g.sides]
+        assert rows.det[n] == g.det
+        assert rows.lengths[n] == pytest.approx([s.length for s in sides],
+                                                rel=0, abs=LENGTH_TOL)
+        assert (LAWS[law] if law >= 0 else None) is scalar_law_family(cls)
+
+
 def reference(t):
     """Family, sides, angles and residuals the scalar way: the classifier's
     sides, the apex or anchor by the sign of r_i = p_i - p_j p_k, each angle
     from surfaces.angle, and the laws as written out above."""
     cls, _, g = _classify(t, DEFAULT_TOL)
-    family = _law_family(cls)
+    family = scalar_law_family(cls)
     p = [s.p for s in g.sides]
     r = [p[i] - p[j] * p[k] for i, j, k in ORDERS]
     hits = {LawFamily.TEMPO: [x > 0.0 for x in r],
@@ -106,71 +151,104 @@ def reference(t):
                                + lca[i] * sc(s[i]) * sa(a[j]) * sa(a[k])))
                for i, j, k in ORDERS]
     ratios = [sa(a[i]) / ss(s[i]) for i in range(3)]
-    return family, first, sides, angles, res_lcs + res_lca + ratios
+    return family, sides, angles, res_lcs + res_lca + ratios
 
 
 def assert_matches_reference(triangles, batch):
-    assert (batch.status == 0).all()
+    """Each row of the batch is measured as the scalar reference measures
+    it, or has the status of its scalar class."""
+    measured = 0
     for n, t in enumerate(triangles):
-        family, first, sides, angles, values = reference(t)
-        assert FAMILIES[batch.family[n]] is family
+        cls, _, _ = _classify(t, DEFAULT_TOL)
+        if cls.degenerate or scalar_law_family(cls) is None:
+            assert batch.status[n] == (DEGENERATE if cls.degenerate else NO_LAWS)
+            continue
+        family, sides, angles, values = reference(t)
+        assert batch.status[n] == OK
+        assert LAWS[batch.family[n]] is family
         if family in (LawFamily.TEMPO, LawFamily.SPATIO_C):
             assert batch.hits[n] == 1
         assert batch.sides[n] == pytest.approx(sides, rel=0, abs=LENGTH_TOL)
         assert batch.angles[n] == pytest.approx(angles, rel=0, abs=LENGTH_TOL)
         got = list(batch.lcs[n]) + list(batch.lca[n]) + list(batch.ratios[n])
         assert got == pytest.approx(values, rel=0, abs=RESIDUAL_TOL)
-
-
-def assert_geometry_matches_classifier(V, triangles):
-    """Components, side kinds and winding numbers of the array rule against
-    the scalar classifier, row by row."""
-    comp = _components(V, DEFAULT_TOL)
-    p, n, n2 = _products(V)
-    kinds = _side_kinds(V, comp, p, n, n2, DEFAULT_TOL)
-    winding = _winding_number(V)
-    for row, t in enumerate(triangles):
-        cls, sides, g = _classify(t, DEFAULT_TOL)
-        assert [COMPONENTS[c] for c in comp[row]] == list(cls.vertex_components)
-        assert [KINDS[k] for k in kinds[row]] == [s.kind for s in sides]
-        if cls.contractible is not None and not cls.degenerate:
-            assert winding[row] == scalar_winding_number(t)
+        measured += 1
+    return measured
 
 
 @pytest.mark.parametrize("family", LAW_SAMPLES)
 def test_block_rows_match_the_scalar_path(family):
-    V, codes = _sample_rows(SampleSpec(family=family, count=1000, seed=41))
+    V = _sample_rows(SampleSpec(family=family, count=1000, seed=41))
     triangles = triangles_of(V)
-    assert_geometry_matches_classifier(V, triangles)
-    assert all(FAMILIES[f] is _BLOCK_KINDS[family][1] for f in codes)
-    assert_matches_reference(triangles, law_batch(V, codes))
+    assert_classes_match(V, triangles)
+    batch = law_batch(V)
+    assert set(batch.families()) == {_BLOCK_KINDS[family][1]}
+    assert assert_matches_reference(triangles, batch) == 1000
 
 
-@pytest.mark.parametrize("seed", [43, 44])
+@pytest.mark.parametrize("seed", [43, 44, 46])
 def test_mixed_batch_matches_the_scalar_path(seed):
     triangles = sample_triangle(SampleSpec(family="mixed", count=1500, seed=seed))
-    assert_geometry_matches_classifier(rows_of(triangles), triangles)
-    law_rows = []
-    for t in triangles:
-        try:
-            _law_family(_classify(t, DEFAULT_TOL)[0])
-        except MinkTrigError:
-            continue
-        law_rows.append(t)
-    assert len(law_rows) > 400
-    assert_matches_reference(law_rows, law_batch_of(law_rows))
+    V = rows_of(triangles)
+    assert_classes_match(V, triangles)
+    assert assert_matches_reference(triangles, law_batch(V)) > 400
+
+
+@pytest.mark.parametrize("family", LAWLESS_SAMPLES)
+def test_lawless_families_match_the_scalar_classifier(family):
+    triangles = sample_triangle(SampleSpec(family=family, count=300, seed=49))
+    V = rows_of(triangles)
+    assert_classes_match(V, triangles)
+    assert assert_matches_reference(triangles, law_batch(V)) == 0
+
+
+def test_degenerate_spatiolateral_rows_fall_back_to_the_side_sum():
+    # three points of one throat circle within half a turn, boosted: all
+    # sides spacelike, det 0, and contractible by the side sum (twice the
+    # widest arc, below 2 pi)
+    rng = np.random.default_rng(50)
+    rows = []
+    for _ in range(300):
+        theta = rng.uniform(0.0, 2.0 * math.pi) + np.sort(rng.uniform(0.0, 2.8, 3))
+        m = random_lorentz(rng, max_rapidity=1.0)
+        rows.append([apply_matrix(m, MVec3(0.0, math.cos(x), math.sin(x))).as_tuple()
+                     for x in theta])
+    V = np.array(rows)
+    triangles = triangles_of(V)
+    assert_classes_match(V, triangles)
+    classes = _classify_rows(V, DEFAULT_TOL)
+    assert classes.degenerate.all()
+    assert (classes.proper_kind == PROPER_KINDS.index(
+        ProperKind.SPATIOLATERAL_CONTRACTIBLE)).all()
+    assert (law_batch(V).status == DEGENERATE).all()
+
+
+def test_constructed_rows_match_the_scalar_classifier():
+    # the measure-zero cases samples do not reach: opposite vertices on the
+    # sheets and on the de Sitter surface and the worked examples, each under
+    # a few Lorentz maps, and a point far out near the light cone
+    fixtures = [
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0)],
+        [(0, 1, 0), (0, -1, 0), (0, 0, 1)],
+        HYP, DEGENERATE_ROW, CHRONO, CHORO,
+    ]
+    rng = np.random.default_rng(51)
+    maps = [np.eye(3)] + [random_lorentz(rng, max_rapidity=1.0) for _ in range(3)]
+    V = np.array([[m @ np.array(v, dtype=float) for v in row]
+                  for row in fixtures for m in maps]
+                 + [[(0, 1, 0), (0, 0, 1), (1e10, 1e10, 1)]])
+    classes = _classify_rows(V, DEFAULT_TOL)
+    assert classes.opposite.any() and classes.lightlike.any()
+    assert_classes_match(V, triangles_of(V))
 
 
 @pytest.mark.parametrize("family", LAW_SAMPLES)
 def test_single_triangle_views_equal_their_batch_row(family):
     triangles = sample_triangle(SampleSpec(family=family, count=40, seed=45))
-    batch = law_batch_of(triangles)
+    batch = law_batch(rows_of(triangles))
     for n, t in enumerate(triangles):
         r = trig_report(t)
-        m = measure(t)
-        assert r.family is m.family is FAMILIES[batch.family[n]]
-        assert list(m.sides) == batch.sides[n].tolist()
-        assert list(m.angles) == batch.angles[n].tolist()
+        assert r.family is batch.families()[n]
         assert list(r.lcs_residuals) == batch.lcs[n].tolist()
         assert list(r.lca_residuals) == batch.lca[n].tolist()
         assert list(r.sines_ratios) == batch.ratios[n].tolist()
@@ -198,16 +276,48 @@ def test_block_acceptance_matches_scalar_accepts(family):
         assert 0.3 < mask.mean() < 0.8  # both verdicts occur
 
 
+SQ2 = math.sqrt(2.0)
+HYP = [(SQ2, 1, 0), (SQ2, 0, 1), (SQ2, -1, 0)]
+DEGENERATE_ROW = [(0, 1, 0), (0, 0, 1), (0, math.sqrt(0.5), math.sqrt(0.5))]
+CHRONO = [(0, 1, 0), (0, 0, 1), (30 * SQ2 / 41, 59 * SQ2 / 82, 59 * SQ2 / 82)]
+CHORO = [(1, 0, SQ2), (-1, 0, SQ2), (0, math.sqrt(3) / 2, 0.5)]
+NAN_ROW = [(math.nan, 1, 0), (0, 0, 1), (0, 1, 0)]
+INF_ROW = [(0, 1, 0), (0, 0, 1), (math.inf, math.inf, 0)]
+SCALED = [tuple(1.5 * x for x in HYP[0])] + HYP[1:]
+
+
+@pytest.mark.parametrize("row, error", [
+    (NAN_ROW, OffSurfaceError),
+    (INF_ROW, OffSurfaceError),
+    (SCALED, OffSurfaceError),
+    (DEGENERATE_ROW, DegenerateTriangle),
+    (CHRONO, UnsupportedFamily),
+    (CHORO, UnsupportedFamily),
+])
+def test_hostile_rows_get_their_typed_errors(row, error):
+    batch = law_batch([HYP, row, HYP])
+    assert batch.status.tolist()[::2] == [OK, OK]
+    with pytest.raises(error):
+        batch.raise_first()
+
+
+def test_hyperbolic_rows_are_read_as_hyperbolic():
+    # the kernel no longer takes the family from its caller: a hyperbolic
+    # row is measured as one, on either sheet
+    antipodal = [tuple(-x for x in v) for v in HYP]
+    batch = law_batch([HYP, antipodal])
+    assert batch.families() == [LawFamily.HYP, LawFamily.HYP]
+    assert batch.status.tolist() == [OK, OK]
+    assert batch.max_residual.max() < 1e-12
+
+
 def test_first_failing_row_raises_its_scalar_error():
-    hyp = Triangle.from_vectors(MVec3(math.sqrt(2), 1, 0), MVec3(math.sqrt(2), 0, 1),
-                                MVec3(math.sqrt(2), -1, 0))
-    degenerate = Triangle.from_vectors(MVec3(0, 1, 0), MVec3(0, 0, 1),
-                                       MVec3(0, math.sqrt(0.5), math.sqrt(0.5)))
-    chrono = Triangle.from_vectors(
-        MVec3(0, 1, 0), MVec3(0, 0, 1),
-        MVec3(30 * math.sqrt(2) / 41, 59 * math.sqrt(2) / 82, 59 * math.sqrt(2) / 82))
     with pytest.raises(DegenerateTriangle):
-        law_batch_of([hyp, degenerate, chrono])
+        law_batch([HYP, DEGENERATE_ROW, CHRONO]).raise_first()
     with pytest.raises(UnsupportedFamily):
-        law_batch_of([hyp, chrono, degenerate])
-    assert law_batch_of([]).status.shape == (0,)
+        law_batch([HYP, CHRONO, DEGENERATE_ROW]).raise_first()
+    with pytest.raises(OffSurfaceError, match="vertex A of row 1"):
+        law_batch([HYP, NAN_ROW, DEGENERATE_ROW]).raise_first()
+    with pytest.raises(DegenerateTriangle):
+        trig_report(Triangle.from_vectors(*(MVec3(*v) for v in DEGENERATE_ROW)))
+    assert law_batch([]).status.shape == (0,)

@@ -297,6 +297,17 @@ class TestSample:
         assert out == ""
         assert err.startswith("input error: --count")
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--family", "hyperbolic", "--count", "1", "--seed", "-1"],
+        ["verify", "--sample", "hyperbolic", "--count", "1", "--seed", "-1"],
+        ["verify", "--sample", "mixed", "--count", "1", "--seed", "-5"],
+    ])
+    def test_negative_seed_exit_2(self, capsys, monkeypatch, argv):
+        code, out, err = run_cli(capsys, monkeypatch, argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error: --seed must be at least 0")
+
 
 class TestProcess:
     def test_subcommands_in_a_row_share_one_parser(self, capsys, monkeypatch):

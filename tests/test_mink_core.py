@@ -1,11 +1,14 @@
 """Bilinear form, causal classification, Lorentz utilities, plane classification.
 
 A segment's plane class is read off the Gram rule in ``surfaces``.  The
-Lorentz-orthogonal basis and the Lorentz-matrix predicate below are test
-oracles, kept here because nothing in the package needs them.
+causal class of a vector, the Lorentz-orthogonal basis and the Lorentz-matrix
+predicate below are test oracles, kept here because nothing in the package
+needs them.  The determinant is the one the triangle classifier reads its
+degeneracy and the polar sign off.
 """
 
 import math
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -18,19 +21,17 @@ from minktrig.mink import (
     E2,
     E3,
     J_MATRIX,
-    CausalClass,
     MVec3,
     apply_matrix,
     boost_e1_e2,
-    classify_vector,
     cross,
-    det3,
     euclid_dot,
     j_transform,
     minkowski_norm,
     minkowski_product,
     random_lorentz,
 )
+from minktrig.constants import DEFAULT_TOL
 from minktrig.samplers import sample_point
 from minktrig.surfaces import (
     Component,
@@ -39,11 +40,36 @@ from minktrig.surfaces import (
     surface_point,
     tangent_vector,
 )
+from minktrig.triangles import _classify_rows
 
 from conftest import SQRT2, vec
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 vectors = st.builds(MVec3, coords, coords, coords)
+ZERO = MVec3(0.0, 0.0, 0.0)
+
+
+class CausalClass(Enum):
+    TIMELIKE = "timelike"
+    LIGHTLIKE = "lightlike"
+    SPACELIKE = "spacelike"
+
+
+def classify_vector(x: MVec3) -> CausalClass:
+    """Causal class of x, with the lightlike band of the side rule.  The zero
+    vector counts as spacelike by convention."""
+    if x == ZERO:
+        return CausalClass.SPACELIKE
+    q = minkowski_product(x, x)
+    if abs(q) <= DEFAULT_TOL.eps_light * max(1.0, euclid_dot(x, x)):
+        return CausalClass.LIGHTLIKE
+    return CausalClass.TIMELIKE if q < 0.0 else CausalClass.SPACELIKE
+
+
+def det3(a: MVec3, b: MVec3, c: MVec3) -> float:
+    """det(a, b, c) as the array classifier computes it for the row (a, b, c)."""
+    return float(_classify_rows(np.array([[a.as_tuple(), b.as_tuple(), c.as_tuple()]]),
+                                DEFAULT_TOL).det[0])
 
 
 def is_lorentz(m) -> bool:
@@ -80,7 +106,7 @@ def lorentz_orthogonal_basis(u: MVec3, v: MVec3) -> tuple:
         candidates.append(u + math.copysign(t_lin, puv) * v)
     b1 = next(
         c for c in candidates if classify_vector(c) is CausalClass.SPACELIKE
-        and not c.is_zero()
+        and c != ZERO
     )
     # project away the b1 component from whichever input is independent of b1
     other = u if cross(u, b1).euclid_norm() > cross(v, b1).euclid_norm() else v
@@ -155,7 +181,7 @@ class TestCrossAndDet:
 
     def test_self_cross_zero(self):
         x = vec(3, -1, 2)
-        assert cross(x, x).is_zero()
+        assert cross(x, x) == ZERO
 
     def test_polar_fixture_cross(self):
         got = cross(vec(SQRT2, 1, 0), vec(SQRT2, 0, 1))
@@ -183,9 +209,11 @@ class TestCrossAndDet:
     @given(vectors, vectors, vectors)
     @settings(max_examples=100)
     def test_det_equals_cross_dot(self, a, b, c):
-        assert det3(a, b, c) == pytest.approx(
-            euclid_dot(cross(a, b), c), abs=1e-9
-        )
+        # (a x b) . c against numpy's LU determinant of the column matrix
+        columns = np.array([a.as_tuple(), b.as_tuple(), c.as_tuple()]).T
+        with np.errstate(divide="ignore"):  # LAPACK's note on a singular matrix
+            expected = np.linalg.det(columns)
+        assert det3(a, b, c) == pytest.approx(expected, abs=1e-9)
 
 
 class TestJTransform:

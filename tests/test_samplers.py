@@ -48,6 +48,8 @@ class TestSampleTriangle:
             SampleSpec(family="euclidean", count=1, seed=0)
         with pytest.raises(ParamOutOfRange):
             SampleSpec(family="hyperbolic", count=0, seed=0)
+        with pytest.raises(ParamOutOfRange, match="seed must be at least 0"):
+            SampleSpec(family="hyperbolic", count=1, seed=-1)
 
     def test_deterministic_under_seed(self):
         spec = SampleSpec(family="tempolateral", count=5, seed=99)
@@ -91,13 +93,13 @@ class TestBlockSampling:
     @pytest.mark.parametrize("family", list(_BLOCK_KINDS))
     def test_deterministic_under_seed(self, family):
         spec = SampleSpec(family=family, count=300, seed=51)
-        rows = _sample_rows(spec)[0]
+        rows = _sample_rows(spec)
         assert rows.shape == (300, 3, 3)
-        assert np.array_equal(rows, _sample_rows(spec)[0])
+        assert np.array_equal(rows, _sample_rows(spec))
         again = [[v.coords.as_tuple() for v in t.vertices()]
                  for t in sample_triangle(spec)]
         assert np.array_equal(rows, np.array(again))
-        other = _sample_rows(SampleSpec(family=family, count=300, seed=52))[0]
+        other = _sample_rows(SampleSpec(family=family, count=300, seed=52))
         assert not np.array_equal(rows, other)
 
     @pytest.mark.parametrize("family", list(_BLOCK_KINDS))

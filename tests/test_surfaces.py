@@ -32,7 +32,6 @@ from minktrig.surfaces import (
     angle_via_cross,
     classify_point,
     distance,
-    proper_distance,
     segment_kind,
     segment_point,
     surface_point,
@@ -147,11 +146,11 @@ class TestDistance:
         for _ in range(100):
             m = random_lorentz(rng)
             t = rng.uniform(0.1, 1.0) * (1.0 if rng.random() < 0.5 else -1.0)
-            x = apply_matrix(m, vec(0, 1, 0))
-            y = apply_matrix(m, vec(t, 1, t))
-            assert proper_distance(x, y) == 0.0
-            z = apply_matrix(m, vec(0, math.cos(0.3), math.sin(0.3)))
-            assert proper_distance(x, z) > 0.0
+            x = surface_point(apply_matrix(m, vec(0, 1, 0)))
+            y = surface_point(apply_matrix(m, vec(t, 1, t)))
+            assert distance(x, y) == 0.0
+            z = surface_point(apply_matrix(m, vec(0, math.cos(0.3), math.sin(0.3))))
+            assert distance(x, z) > 0.0
 
     def test_clamp_error_beyond_band(self):
         # points tagged as forward-sheet points but off the quadric: the

@@ -1,31 +1,38 @@
-"""Laws of cosines and sines, sum theorems, and the duality transport."""
+"""Laws of cosines and sines, sum theorems, and the duality transport.
+
+Sides and angles are read off law_batch rows, in each family's canonical
+labeling; single-triangle checks go through trig_report.
+"""
 
 import math
 
 import pytest
 
 from minktrig.errors import DegenerateTriangle, UnsupportedFamily
-from minktrig.mink import cross, det3, minkowski_norm
+from minktrig.mink import MVec3, cross, euclid_dot, minkowski_norm
 from minktrig.polar import polar_triangle
 from minktrig.samplers import SampleSpec, sample_triangle
+from minktrig.surfaces import Component, distance, tangent_vector
 from minktrig.triangles import Triangle
-from minktrig.trig import (
-    LawFamily,
-    TriangleMeasurements,
-    angle_sum_check,
-    lca_residuals,
-    lcs_residuals,
-    measure,
-    side_sum_check,
-    sines_ratios,
-    trig_report,
-)
+from minktrig.trig import SINE, LawFamily, law_batch, trig_report
 
 from conftest import SQRT2, vec
 
 
 def tri(*vecs):
     return Triangle.from_vectors(*(vec(*v) for v in vecs))
+
+
+def measured(*triangles):
+    """law_batch of the triangles, every row of which must be OK."""
+    batch = law_batch([[v.coords.as_tuple() for v in t.vertices()] for t in triangles])
+    batch.raise_first()
+    return batch
+
+
+def det3(a: MVec3, b: MVec3, c: MVec3) -> float:
+    """det of the matrix with columns a, b, c, as (a x b) . c."""
+    return euclid_dot(cross(a, b), c)
 
 
 HYP_FIXTURE = tri((SQRT2, 1, 0), (SQRT2, 0, 1), (SQRT2, -1, 0))
@@ -35,52 +42,72 @@ SPATIO_NC_FIXTURE = tri((0, 1, 0), (0, 0, 1), (-1 / 7, -5 / 7, -5 / 7))
 
 class TestMeasure:
     def test_hyperbolic_fixture_sides(self):
-        m = measure(HYP_FIXTURE)
-        assert m.family is LawFamily.HYP
-        assert sorted(m.sides) == pytest.approx(
+        b = measured(HYP_FIXTURE)
+        assert b.families() == [LawFamily.HYP]
+        assert sorted(b.sides[0]) == pytest.approx(
             sorted([math.acosh(2), math.acosh(3), math.acosh(2)]), abs=1e-12
         )
 
     def test_contractible_fixture_sides(self):
-        m = measure(SPATIO_C_FIXTURE)
-        assert sorted(m.sides) == pytest.approx(
+        b = measured(SPATIO_C_FIXTURE)
+        assert b.families() == [LawFamily.SPATIO_C]
+        assert sorted(b.sides[0]) == pytest.approx(
             sorted([math.acos(5 / 7), math.acos(5 / 7), math.pi / 2]), abs=1e-12
         )
 
     def test_noncontractible_fixture_sides(self):
-        m = measure(SPATIO_NC_FIXTURE)
-        assert sorted(m.sides) == pytest.approx(
+        b = measured(SPATIO_NC_FIXTURE)
+        assert b.families() == [LawFamily.SPATIO_NC]
+        assert sorted(b.sides[0]) == pytest.approx(
             sorted([math.acos(-5 / 7), math.acos(-5 / 7), math.pi / 2]), abs=1e-12
         )
-        assert sum(m.sides) == pytest.approx(6.303, abs=1e-3)
+        assert sum(b.sides[0]) == pytest.approx(6.303, abs=1e-3)
 
     def test_tempolateral_apex_relabeled_to_a(self):
-        t = sample_triangle(SampleSpec(family="tempolateral", count=1, seed=1))[0]
-        m = measure(t)
-        assert m.apex == "A"
-        assert m.sides[0] > m.sides[1] + m.sides[2]
+        # the apex sees the other two vertices in opposite time directions;
+        # side a, opposite it after relabeling, dominates the other two
+        triangles = sample_triangle(SampleSpec(family="tempolateral", count=20, seed=1))
+        b = measured(*triangles)
+        for t, sides in zip(triangles, b.sides.tolist()):
+            verts = t.vertices()
+            apex = [i for i in range(3)
+                    if len({tangent_vector(verts[i], verts[j]).x1 > 0
+                            for j in range(3) if j != i}) == 2]
+            assert len(apex) == 1
+            others = [verts[j] for j in range(3) if j != apex[0]]
+            assert sides[0] == pytest.approx(distance(*others), rel=0, abs=1e-12)
+            assert sides[0] > sides[1] + sides[2]
 
     def test_contractible_anchor_recorded(self):
-        m = measure(SPATIO_C_FIXTURE)
-        assert m.polar_anchor == "a"
+        # the anchor is the vertex whose polar vertex sits alone on its
+        # hyperboloid sheet; its opposite side becomes side a
+        b = measured(SPATIO_C_FIXTURE)
+        assert b.hits[0] == 1
+        sheets = [v.component for v in
+                  tri(*(v.as_tuple() for v in polar_triangle(SPATIO_C_FIXTURE).vertices))
+                  .vertices()]
+        anchor = [i for i in range(3) if sheets.count(sheets[i]) == 1]
+        assert len(anchor) == 1 and sheets[anchor[0]] is not Component.DE_SITTER
+        verts = SPATIO_C_FIXTURE.vertices()
+        others = [verts[j] for j in range(3) if j != anchor[0]]
+        assert b.sides[0, 0] == pytest.approx(distance(*others), rel=0, abs=1e-12)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateTriangle):
-            measure(tri((0, 1, 0), (0, 0, 1), (0, SQRT2 / 2, SQRT2 / 2)))
+            trig_report(tri((0, 1, 0), (0, 0, 1), (0, SQRT2 / 2, SQRT2 / 2)))
 
     def test_unsupported_family_rejected(self):
         chrono = tri((0, 1, 0), (0, 0, 1),
                      (30 * SQRT2 / 41, 59 * SQRT2 / 82, 59 * SQRT2 / 82))
         with pytest.raises(UnsupportedFamily):
-            measure(chrono)
+            trig_report(chrono)
 
 
 class TestLawResiduals:
     def test_fixture_residuals(self):
-        for t in (HYP_FIXTURE, SPATIO_C_FIXTURE, SPATIO_NC_FIXTURE):
-            m = measure(t)
-            assert max(lcs_residuals(m)) < 1e-10
-            assert max(lca_residuals(m)) < 1e-10
+        b = measured(HYP_FIXTURE, SPATIO_C_FIXTURE, SPATIO_NC_FIXTURE)
+        assert b.lcs.max() < 1e-10
+        assert b.lca.max() < 1e-10
 
     @pytest.mark.parametrize("family", [
         "hyperbolic", "antipodal_hyperbolic", "spatiolateral_contractible",
@@ -96,17 +123,15 @@ class TestLawResiduals:
         # cos(c) in its third equation; the cos(b) variant does not
         found_asymmetric = False
         spec = SampleSpec(family="spatiolateral_noncontractible", count=20, seed=19)
-        for t in sample_triangle(spec):
-            m = measure(t)
-            a, b, c = m.sides
-            al, be, ga = m.angles
-            if abs(b - c) < 0.05:
+        b = measured(*sample_triangle(spec))
+        for (a, b_, c), (al, be, ga) in zip(b.sides.tolist(), b.angles.tolist()):
+            if abs(b_ - c) < 0.05:
                 continue
             found_asymmetric = True
             good = abs(math.cosh(ga) - (math.cosh(al) * math.cosh(be)
                                         + math.cos(c) * math.sinh(al) * math.sinh(be)))
             bad = abs(math.cosh(ga) - (math.cosh(al) * math.cosh(be)
-                                       + math.cos(b) * math.sinh(al) * math.sinh(be)))
+                                       + math.cos(b_) * math.sinh(al) * math.sinh(be)))
             assert good < 1e-9
             assert bad > 1e-6
         assert found_asymmetric
@@ -114,8 +139,7 @@ class TestLawResiduals:
 
 class TestSines:
     def test_hyperbolic_fixture_value(self):
-        m = measure(HYP_FIXTURE)
-        ratios = sines_ratios(m)
+        ratios = trig_report(HYP_FIXTURE).sines_ratios
         expected = 2 * SQRT2 / (math.sqrt(3) * math.sqrt(8) * math.sqrt(3))
         for r in ratios:
             assert r == pytest.approx(expected, abs=1e-12)
@@ -123,8 +147,7 @@ class TestSines:
     def test_ratios_equal_det_expression(self):
         for fam in ("hyperbolic", "spatiolateral_contractible", "tempolateral"):
             for t in sample_triangle(SampleSpec(family=fam, count=20, seed=21)):
-                m = measure(t)
-                ratios = sines_ratios(m)
+                ratios = trig_report(t).sines_ratios
                 A, B, C = (v.coords for v in t.vertices())
                 expected = abs(det3(A, B, C)) / (
                     minkowski_norm(cross(A, B)) * minkowski_norm(cross(B, C))
@@ -133,56 +156,65 @@ class TestSines:
                 for r in ratios:
                     assert r == pytest.approx(expected, abs=1e-9)
 
+    def test_vanishing_denominator_refused(self):
+        # B is 1e-8 from A, so <<A, B>> rounds to -1 and side c measures 0;
+        # det(A, B, C) is still well outside the degeneracy band
+        d = 1e-8
+        t = tri((1, 0, 0), (math.cosh(d), math.sinh(d), 0),
+                (math.cosh(1), 0, math.sinh(1)))
+        b = law_batch([[v.coords.as_tuple() for v in t.vertices()]])
+        assert b.status.tolist() == [SINE]
+        with pytest.raises(DegenerateTriangle, match="vanishing denominator"):
+            trig_report(t)
+
 
 class TestSumTheorems:
     def test_hyperbolic_angle_sum_below_pi(self):
         for t in sample_triangle(SampleSpec(family="hyperbolic", count=50, seed=23)):
-            assert angle_sum_check(measure(t)) < math.pi
+            assert trig_report(t).angle_sum < math.pi
 
     def test_thin_triangle_sum_approaches_pi(self):
         eps = 1e-3
         t = tri((1, 0, 0), (math.cosh(eps), math.sinh(eps), 0),
                 (math.cosh(eps), math.sinh(eps) * math.cos(1e-2),
                  math.sinh(eps) * math.sin(1e-2)))
-        assert angle_sum_check(measure(t)) > math.pi - 1e-2
+        assert trig_report(t).angle_sum > math.pi - 1e-2
 
     def test_boosted_apart_sum_near_zero(self):
         r = 5.0
         t = tri((math.cosh(r), math.sinh(r), 0),
                 (math.cosh(r), -math.sinh(r), 0),
                 (math.cosh(r), 0, math.sinh(r)))
-        assert angle_sum_check(measure(t)) < 0.1
+        assert trig_report(t).angle_sum < 0.1
 
     def test_side_sum_dichotomy(self):
-        assert side_sum_check(measure(SPATIO_C_FIXTURE)) < 2 * math.pi
-        assert side_sum_check(measure(SPATIO_NC_FIXTURE)) > 2 * math.pi
+        assert trig_report(SPATIO_C_FIXTURE).side_sum < 2 * math.pi
+        assert trig_report(SPATIO_NC_FIXTURE).side_sum > 2 * math.pi
 
     def test_every_spacelike_side_below_pi(self):
-        for m in (measure(SPATIO_C_FIXTURE), measure(SPATIO_NC_FIXTURE)):
-            assert all(s < math.pi for s in m.sides)
+        assert (measured(SPATIO_C_FIXTURE, SPATIO_NC_FIXTURE).sides < math.pi).all()
 
-    def test_wrong_family_rejected(self):
-        with pytest.raises(UnsupportedFamily):
-            side_sum_check(measure(HYP_FIXTURE))
-        with pytest.raises(UnsupportedFamily):
-            angle_sum_check(measure(SPATIO_C_FIXTURE))
+    def test_sums_reported_only_for_their_family(self):
+        assert trig_report(HYP_FIXTURE).side_sum is None
+        assert trig_report(SPATIO_C_FIXTURE).angle_sum is None
 
 
 class TestDualityTransport:
     def test_hyperbolic_laws_transport_to_polar(self):
         # substituting alpha = pi - a' and a = alpha' turns the hyperbolic
-        # law of cosines into the spatiolateral one for the polar triangle
-        for t in sample_triangle(SampleSpec(family="hyperbolic", count=20, seed=25)):
-            m = measure(t)
-            res = polar_triangle(t)
-            pm = measure(Triangle.from_vectors(*res.vertices))
-            assert pm.family is LawFamily.SPATIO_NC
-            transported = TriangleMeasurements(
-                family=LawFamily.SPATIO_NC,
-                sides=tuple(math.pi - x for x in m.angles),
-                angles=m.sides,
-            )
-            assert max(lcs_residuals(transported)) < 1e-9
+        # law of cosines into the spatiolateral one for the polar triangle:
+        # cos a' = cos b' cos c' - cosh alpha' sin b' sin c'
+        triangles = sample_triangle(SampleSpec(family="hyperbolic", count=20, seed=25))
+        polars = [Triangle.from_vectors(*polar_triangle(t).vertices) for t in triangles]
+        assert set(measured(*polars).families()) == {LawFamily.SPATIO_NC}
+        b = measured(*triangles)
+        for sides, angles in zip(b.sides.tolist(), b.angles.tolist()):
+            ps = [math.pi - x for x in angles]
+            for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+                residual = abs(math.cos(ps[i]) - (
+                    math.cos(ps[j]) * math.cos(ps[k])
+                    - math.cosh(sides[i]) * math.sin(ps[j]) * math.sin(ps[k])))
+                assert residual < 1e-9
 
 
 class TestDegenerateLimits:
