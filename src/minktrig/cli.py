@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 input error, 3 domain error, 4 verification failure
 (in --strict mode only).  Infinite distances are serialized as the string
 "inf" since JSON has no infinity literal.
+
+Every command but verify builds its payload as a dict and writes it with
+json.dumps.  verify writes its reports as text read straight off the
+LawBatch columns, one %-template per row, formatting each distinct residual
+once; its bytes are those json.dumps would write for the same payload.
 """
 
 from __future__ import annotations
@@ -18,13 +23,12 @@ from typing import Optional
 import numpy as np
 
 from .constants import DEFAULT_RESIDUAL_BOUND, DEFAULT_TOL
-from .errors import EmptySegment, MinkTrigError, PolarNonExistent, UnsupportedFamily
+from .errors import MinkTrigError, PolarNonExistent, UnsupportedFamily
 from .mink import MVec3
 from .polar import polar_triangle
 from .samplers import _BLOCK_KINDS, FAMILIES, SampleSpec, _sample_rows, sample_triangle
-from .surfaces import distance, segment_kind, segment_point, surface_point
-from .surfaces import SegmentKind
-from .triangles import Triangle, classify_triangle, triangle_inequality_report
+from .surfaces import _segment, surface_point
+from .triangles import Triangle, _inequality_report, classify_triangle
 from .trig import LawBatch, law_batch
 
 SCHEMA = "minktrig/1"
@@ -135,7 +139,7 @@ def cmd_classify(args) -> int:
     _check_fields(data, {"vertices"}, args.strict)
     t = _parse_triangle(data)
     cls, sides = classify_triangle(t)
-    ineq = triangle_inequality_report(t)
+    ineq = _inequality_report(cls, sides)
     _emit({
         "family": cls.family.value,
         "proper_kind": cls.proper_kind.value if cls.proper_kind else None,
@@ -191,40 +195,64 @@ def _verify_batch(args) -> LawBatch:
     return law_batch([_triangle_json(t) for t in triangles])
 
 
+# One verify report and the verify payload, in the key order and with the
+# separators json.dumps writes.
+_REPORT = ('{"family": "%s", "lcs_residuals": [%s, %s, %s], '
+           '"lca_residuals": [%s, %s, %s], "sines_ratios": [%s, %s, %s], '
+           '"angle_sum": %s, "side_sum": %s, "max_residual": %s, '
+           '"within_tolerance": %s}')
+_REPORTS = ('{"schema": "%s", "reports": [%s], "summary": {"count": %d, '
+            '"max_residual": %s, "failures": %d, "tolerance": %s}}\n')
+_BOOL = ("false", "true")
+
+
+def _number(x: Optional[float]) -> str:
+    """A float or None as _emit writes it: its repr, "inf" for either
+    infinity, NaN, null."""
+    if x is None:
+        return "null"
+    if x - x == 0.0:  # finite
+        return repr(x)
+    return "NaN" if x != x else '"inf"'
+
+
+def _write_reports(batch: LawBatch, bound: float) -> int:
+    """Write the verify payload of the batch's rows, byte for byte what _emit
+    writes for it, and return the number of rows beyond the bound.
+
+    The text is read straight off the batch's columns, one _REPORT per row.
+    The residuals are small multiples of an ulp, so a batch holds few
+    distinct ones, and each is formatted once.  The memo is keyed by value
+    and 0.0 == -0.0, so this relies on the residuals being absolute values,
+    which never hold -0.0; a NaN equals nothing and never hits the memo.  The
+    other columns go to %s as finite floats, whose str is their repr, or as
+    _number's text.
+    """
+    memo = {}
+    get, put = memo.get, memo.setdefault
+    worst = batch.max_residual.tolist()
+    within = [_BOOL[x <= bound] for x in worst]
+    residuals = [[get(x) or put(x, _number(x)) for x in column]
+                 for column in batch.lcs.T.tolist() + batch.lca.T.tolist() + [worst]]
+    direct = [[x if x is not None and x - x == 0.0 else _number(x) for x in column]
+              for column in batch.ratios.T.tolist()
+              + [batch.angle_sums(), batch.side_sums()]]
+    columns = zip([f.value for f in batch.families()], *residuals[:6], *direct,
+                  residuals[6], within)
+    failures = within.count("false")
+    sys.stdout.write(_REPORTS % (
+        SCHEMA, ", ".join(map(_REPORT.__mod__, columns)), len(worst),
+        _number(max(worst, default=0.0)), failures, _number(bound)))
+    return failures
+
+
 def cmd_verify(args) -> int:
     bound = args.tolerance
     if not bound >= 0.0:  # also refuses NaN, which JSON cannot carry
         raise InputError(f"--tolerance must be a non-negative number, got {bound}")
     batch = _verify_batch(args)
     batch.raise_first()
-    worst = batch.max_residual.tolist()
-    families = [f.value for f in batch.families()]
-    reports = [
-        {
-            "family": family,
-            "lcs_residuals": lcs,
-            "lca_residuals": lca,
-            "sines_ratios": ratios,
-            "angle_sum": angle_sum,
-            "side_sum": side_sum,
-            "max_residual": mr,
-            "within_tolerance": mr <= bound,
-        }
-        for family, lcs, lca, ratios, angle_sum, side_sum, mr in zip(
-            families, batch.lcs.tolist(), batch.lca.tolist(),
-            batch.ratios.tolist(), batch.angle_sums(), batch.side_sums(), worst)
-    ]
-    failures = sum(not r["within_tolerance"] for r in reports)
-    _emit({
-        "reports": reports,
-        "summary": {
-            "count": len(reports),
-            "max_residual": max(worst, default=0.0),
-            "failures": failures,
-            "tolerance": bound,
-        },
-    })
-    if failures and args.strict:
+    if _write_reports(batch, bound) and args.strict:
         return EXIT_VERIFY
     return EXIT_OK
 
@@ -241,14 +269,11 @@ def cmd_export_geodesic(args) -> int:
     except MinkTrigError as exc:
         raise InputError(str(exc))
 
-    kind = segment_kind(a, b)
-    if kind is SegmentKind.EMPTY:
-        raise EmptySegment("no segment joins antipodal or infinitely separated points")
-    bound = 1.0 if kind is SegmentKind.DE_SITTER_LIGHTLIKE else distance(a, b)
+    end, point = _segment(a, b, DEFAULT_TOL)
     writer = csv.writer(sys.stdout)
     writer.writerow(["x1", "x2", "x3", "t"])
-    for t in np.linspace(0.0, bound, samples):
-        p = segment_point(a, b, float(t))
+    for t in np.linspace(0.0, end, samples):
+        p = point(float(t))
         writer.writerow([repr(p.x1), repr(p.x2), repr(p.x3), repr(float(t))])
     return EXIT_OK
 

@@ -210,6 +210,36 @@ def tangent_vector(
     return _tangent(a, b, side)
 
 
+def _segment(a: SurfacePoint, b: SurfacePoint, tol: Tolerances):
+    """The segment from a to b as (end, point): t runs over [0, end], and
+    point(t) is the point at t.  The side and the tangent are built once, for
+    any number of points."""
+    side = _side(a, b, tol)
+    kind = side.kind
+    if kind is SegmentKind.EMPTY:
+        raise EmptySegment("no segment joins antipodal or infinitely separated points")
+    A = a.coords
+    if kind is SegmentKind.POINT:
+        def point(t: float) -> MVec3:
+            if t != 0.0:
+                raise ParamOutOfRange("the segment of a single point has t = 0 only")
+            return A
+        return 0.0, point
+
+    T = 1.0 if kind is SegmentKind.DE_SITTER_LIGHTLIKE else side.length
+    X = _tangent(a, b, side)
+
+    def point(t: float) -> MVec3:
+        if t < -tol.eps_clamp or t > T + tol.eps_clamp:
+            raise ParamOutOfRange(f"t = {t} outside [0, {T}]")
+        if kind is SegmentKind.DE_SITTER_LIGHTLIKE:
+            return A + t * X
+        if kind is SegmentKind.DE_SITTER_SPACELIKE:
+            return math.cos(t) * A + math.sin(t) * X
+        return math.cosh(t) * A + math.sinh(t) * X
+    return T, point
+
+
 def segment_point(
     a: SurfacePoint, b: SurfacePoint, t: float, tol: Tolerances = DEFAULT_TOL
 ) -> MVec3:
@@ -218,26 +248,8 @@ def segment_point(
     t runs over [0, 1] for lightlike segments, [0, distance] otherwise;
     endpoints map to a and b exactly up to roundoff.
     """
-    side = _side(a, b, tol)
-    kind = side.kind
-    if kind is SegmentKind.EMPTY:
-        raise EmptySegment("no segment joins antipodal or infinitely separated points")
-    if kind is SegmentKind.POINT:
-        if t != 0.0:
-            raise ParamOutOfRange("the segment of a single point has t = 0 only")
-        return a.coords
-
-    T = 1.0 if kind is SegmentKind.DE_SITTER_LIGHTLIKE else side.length
-    if t < -tol.eps_clamp or t > T + tol.eps_clamp:
-        raise ParamOutOfRange(f"t = {t} outside [0, {T}]")
-
-    A = a.coords
-    X = _tangent(a, b, side)
-    if kind is SegmentKind.DE_SITTER_LIGHTLIKE:
-        return A + t * X
-    if kind is SegmentKind.DE_SITTER_SPACELIKE:
-        return math.cos(t) * A + math.sin(t) * X
-    return math.cosh(t) * A + math.sinh(t) * X
+    _, point = _segment(a, b, tol)
+    return point(t)
 
 
 def _check_legs(kinds: tuple) -> SegmentKind:

@@ -414,7 +414,11 @@ def _predicted_inequality(cls: TriangleClass, sides) -> Optional[bool]:
 def triangle_inequality_report(
     t: Triangle, tol: Tolerances = DEFAULT_TOL
 ) -> InequalityReport:
-    cls, sides = classify_triangle(t, tol)
+    return _inequality_report(*classify_triangle(t, tol))
+
+
+def _inequality_report(cls: TriangleClass, sides) -> InequalityReport:
+    """The triangle inequality report of a classification already made."""
     la, lb, lc = (s.length for s in sides)
     holds = (lb + lc >= la) and (la + lc >= lb) and (la + lb >= lc)
     return InequalityReport(

@@ -1,5 +1,6 @@
 """Command line interface: JSON round trips, exit codes, CSV export."""
 
+import csv
 import io
 import json
 import math
@@ -7,10 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from minktrig import cli, trig
+from minktrig import cli, samplers, surfaces, triangles, trig
 from minktrig.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 
-from conftest import SQRT2
+from conftest import SQRT2, vec
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=None):
@@ -347,3 +348,206 @@ class TestProcess:
         expected = io.StringIO()
         json.dump(json.loads(out), expected)
         assert out == expected.getvalue() + "\n"
+
+
+def jsonify(value):
+    """_emit's stand-in for infinities: the string "inf", either sign."""
+    if isinstance(value, float):
+        return "inf" if math.isinf(value) else value
+    if isinstance(value, dict):
+        return {k: jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonify(v) for v in value]
+    return value
+
+
+def emitted(payload):
+    """What _emit writes for a payload: json.dumps, through jsonify where the
+    payload holds an infinity or a NaN."""
+    payload = {"schema": "minktrig/1", **payload}
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        text = json.dumps(jsonify(payload))
+    return text + "\n"
+
+
+def reference_reports(batch, bound):
+    """verify's output written the way it used to be: one dict per row, then
+    json.dumps of the whole payload.  Returns the text and the failure count."""
+    worst = batch.max_residual.tolist()
+    reports = [
+        {
+            "family": family.value,
+            "lcs_residuals": lcs,
+            "lca_residuals": lca,
+            "sines_ratios": ratios,
+            "angle_sum": angle_sum,
+            "side_sum": side_sum,
+            "max_residual": mr,
+            "within_tolerance": mr <= bound,
+        }
+        for family, lcs, lca, ratios, angle_sum, side_sum, mr in zip(
+            batch.families(), batch.lcs.tolist(), batch.lca.tolist(),
+            batch.ratios.tolist(), batch.angle_sums(), batch.side_sums(), worst)
+    ]
+    failures = sum(not r["within_tolerance"] for r in reports)
+    text = emitted({
+        "reports": reports,
+        "summary": {"count": len(reports), "max_residual": max(worst, default=0.0),
+                    "failures": failures, "tolerance": bound},
+    })
+    return text, failures
+
+
+LAW_SAMPLES = ["hyperbolic", "antipodal_hyperbolic", "spatiolateral_contractible",
+               "spatiolateral_noncontractible", "tempolateral"]
+
+
+class TestVerifyWriter:
+    @pytest.mark.parametrize("family", LAW_SAMPLES)
+    @pytest.mark.parametrize("count", [1, 2, 1000])
+    @pytest.mark.parametrize("seed", [0, 11, 12])
+    def test_sampled_output_matches_the_reference(self, capsys, monkeypatch,
+                                                  family, count, seed):
+        spec = samplers.SampleSpec(family=family, count=count, seed=seed)
+        expected, _ = reference_reports(
+            trig.law_batch(samplers._sample_rows(spec)), 1e-9)
+        code, out, err = run_cli(
+            capsys, monkeypatch,
+            ["verify", "--sample", family, "--count", str(count), "--seed", str(seed)])
+        assert (code, out, err) == (EXIT_OK, expected, "")
+
+    @pytest.mark.parametrize("stdin", [
+        HYP,
+        triangle_payload((0, 1, 0), (0, 0, 1), (1 / 7, 5 / 7, 5 / 7)),
+        triangle_payload(
+            (0.06342978900812468, 0.8890758331676081, 0.4621336397741879),
+            (1.004023020338628, 1.139722326699522, 0.8420779318997318),
+            (-0.1978536994988652, 0.8399624866107704, 0.5775890472403702)),
+    ])
+    def test_stdin_triangle_matches_the_reference(self, capsys, monkeypatch, stdin):
+        vertices = json.loads(stdin)["vertices"]
+        expected, _ = reference_reports(trig.law_batch([vertices]), 1e-9)
+        code, out, _ = run_cli(capsys, monkeypatch, ["verify"], stdin=stdin)
+        assert (code, out) == (EXIT_OK, expected)
+
+    def test_mixed_batch_matches_the_reference(self, capsys, monkeypatch):
+        spec = samplers.SampleSpec(family="mixed", count=5, seed=0)
+        rows = [[v.coords.as_tuple() for v in t.vertices()]
+                for t in samplers.sample_triangle(spec)]
+        expected, _ = reference_reports(trig.law_batch(rows), 1e-9)
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["verify", "--sample", "mixed", "--count", "5"])
+        assert (code, out) == (EXIT_OK, expected)
+
+    def test_zero_tolerance_strict_exit_4(self, capsys, monkeypatch):
+        spec = samplers.SampleSpec(family="tempolateral", count=200, seed=3)
+        expected, failures = reference_reports(
+            trig.law_batch(samplers._sample_rows(spec)), 0.0)
+        code, out, _ = run_cli(
+            capsys, monkeypatch,
+            ["verify", "--sample", "tempolateral", "--count", "200", "--seed", "3",
+             "--tolerance", "0", "--strict"])
+        assert code == EXIT_VERIFY
+        assert out == expected
+        assert failures > 0
+        reports = json.loads(out)["reports"]
+        assert sum(not r["within_tolerance"] for r in reports) == failures
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("bound", [1e-9, 0.0, math.inf])
+    def test_hand_built_batch_matches_the_reference(self, capsys, reverse, bound):
+        inf, nan = math.inf, math.nan
+        columns = dict(
+            status=[trig.OK] * 3,
+            family=[0, 1, 3],  # hyperbolic, spatiolateral non-contractible, tempolateral
+            sides=[[1.0, 2.0, 0.5], [1.0, 2.0, inf], [0.3, 0.2, 0.1]],
+            angles=[[-0.0, -0.0, -0.0], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]],
+            lcs=[[inf, 1e-16, 0.0], [nan, 2e-16, 1e-16], [0.0, 0.0, 3e-300]],
+            lca=[[-inf, 1e-16, nan], [1e-16, 1e-16, 5e-17], [0.0, 2e-16, 0.0]],
+            ratios=[[-0.0, 0.0, 1.5], [0.0, -0.0, inf], [-inf, nan, 0.1]],
+            max_residual=[inf, nan, 2e-16],
+            hits=[0, 0, 1],
+        )
+        batch = trig.LawBatch(
+            **{k: np.array(v[::-1] if reverse else v) for k, v in columns.items()},
+            classes=None)
+        expected, failures = reference_reports(batch, bound)
+        assert cli._write_reports(batch, bound) == failures
+        assert capsys.readouterr().out == expected
+
+
+class TestClassifyOnce:
+    @pytest.mark.parametrize("family", ["tempolateral", "spatiolateral_contractible",
+                                        "chorosceles", "photosceles_timelike_base",
+                                        "strange", "impossible"])
+    def test_output_matches_the_reference(self, capsys, monkeypatch, family):
+        classify = triangles.classify_triangle
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "classify_triangle", counted)
+        monkeypatch.setattr(triangles, "classify_triangle", counted)
+        spec = samplers.SampleSpec(family=family, count=4, seed=5)
+        for t in [*samplers.sample_triangle(spec), triangles.Triangle.from_vectors(
+                *(vec(*v) for v in json.loads(HYP)["vertices"]))]:
+            cls, sides = classify(t)
+            ineq = triangles.triangle_inequality_report(t)
+            calls.clear()
+            expected = emitted({
+                "family": cls.family.value,
+                "proper_kind": cls.proper_kind.value if cls.proper_kind else None,
+                "sides": [{"label": s.label, "kind": s.kind.value, "length": s.length}
+                          for s in sides],
+                "impossible_sides": list(cls.impossible_sides),
+                "degenerate": cls.degenerate,
+                "contractible": cls.contractible,
+                "triangle_inequality": {"holds": ineq.holds,
+                                        "predicted": ineq.predicted},
+            })
+            payload = triangle_payload(*(v.coords.as_tuple() for v in t.vertices()))
+            code, out, _ = run_cli(capsys, monkeypatch, ["classify"], stdin=payload)
+            assert (code, out) == (EXIT_OK, expected)
+            assert len(calls) == 1
+
+
+class TestGeodesicOnce:
+    @pytest.mark.parametrize("a, b", [
+        ((SQRT2, 1, 0), (SQRT2, 0, 1)),  # hyperbolic
+        ((-SQRT2, 1, 0), (-SQRT2, 0, 1)),  # antipodal hyperbolic
+        ((0, 1, 0), (0, 0.6, 0.8)),  # spacelike
+        ((0, 1, 0), (0.75, 1.25, 0)),  # timelike
+        ((0, 1, 0), (1, 1, 1)),  # lightlike
+        ((0, 1, 0), (0, 1, 0)),  # a point
+    ])
+    @pytest.mark.parametrize("samples", [2, 16])
+    def test_csv_matches_segment_point(self, capsys, monkeypatch, a, b, samples):
+        pa, pb = surfaces.surface_point(vec(*a)), surfaces.surface_point(vec(*b))
+        kind = surfaces.segment_kind(pa, pb)
+        end = (1.0 if kind is surfaces.SegmentKind.DE_SITTER_LIGHTLIKE
+               else surfaces.distance(pa, pb))
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["x1", "x2", "x3", "t"])
+        for t in np.linspace(0.0, end, samples):
+            p = surfaces.segment_point(pa, pb, float(t))
+            writer.writerow([repr(p.x1), repr(p.x2), repr(p.x3), repr(float(t))])
+
+        side = surfaces._side
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return side(*args)
+
+        monkeypatch.setattr(surfaces, "_side", counted)
+        payload = json.dumps({"schema": "minktrig/1", "a": a, "b": b})
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["export-geodesic", "--samples", str(samples)],
+                               stdin=payload)
+        assert (code, out) == (EXIT_OK, expected.getvalue())
+        assert len(calls) == 1
