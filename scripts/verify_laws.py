@@ -13,10 +13,10 @@ Usage:
 import argparse
 import math
 
-from minktrig.samplers import _BLOCK_KINDS, SampleSpec, _sample_rows
+from minktrig.samplers import _LAW_SAMPLES, SampleSpec, _sample_rows
 from minktrig.trig import law_batch
 
-LAW_FAMILIES = tuple(_BLOCK_KINDS)
+LAW_FAMILIES = _LAW_SAMPLES
 
 
 def summarize(family: str, count: int, seed: int) -> dict:

@@ -26,7 +26,7 @@ from .constants import DEFAULT_RESIDUAL_BOUND, DEFAULT_TOL
 from .errors import MinkTrigError, PolarNonExistent, UnsupportedFamily
 from .mink import MVec3
 from .polar import polar_triangle
-from .samplers import _BLOCK_KINDS, FAMILIES, SampleSpec, _sample_rows, sample_triangle
+from .samplers import _LAW_SAMPLES, FAMILIES, SampleSpec, _sample_rows
 from .surfaces import _segment, surface_point
 from .triangles import Triangle, _inequality_report, classify_triangle
 from .trig import LawBatch, law_batch
@@ -130,10 +130,6 @@ def _parse_triangle(data: dict) -> Triangle:
         raise InputError(str(exc))
 
 
-def _triangle_json(t: Triangle) -> list:
-    return [list(v.coords.as_tuple()) for v in t.vertices()]
-
-
 def cmd_classify(args) -> int:
     data = _load_json(args)
     _check_fields(data, {"vertices"}, args.strict)
@@ -183,16 +179,13 @@ def _verify_batch(args) -> LawBatch:
         count = _at_least(args.count, 1, "--count")
         spec = SampleSpec(family=args.sample, count=count,
                           seed=_at_least(args.seed, 0, "--seed"))
-        if spec.family in _BLOCK_KINDS:
-            return law_batch(_sample_rows(spec))
-        if spec.family != "mixed":  # no triangle of the family has laws
+        if spec.family not in _LAW_SAMPLES and spec.family != "mixed":
             raise UnsupportedFamily(f"no trig laws for {spec.family} triangles")
-        triangles = sample_triangle(spec)
-    else:
-        data = _load_json(args)
-        _check_fields(data, {"vertices"}, args.strict)
-        triangles = [_parse_triangle(data)]
-    return law_batch([_triangle_json(t) for t in triangles])
+        return law_batch(_sample_rows(spec))
+    data = _load_json(args)
+    _check_fields(data, {"vertices"}, args.strict)
+    t = _parse_triangle(data)
+    return law_batch([[v.coords.as_tuple() for v in t.vertices()]])
 
 
 # One verify report and the verify payload, in the key order and with the
@@ -282,9 +275,8 @@ def cmd_sample(args) -> int:
     count = _at_least(args.count, 1, "--count")
     spec = SampleSpec(family=args.family, count=count,
                       seed=_at_least(args.seed, 0, "--seed"))
-    triangles = sample_triangle(spec)
     _emit({"family": args.family, "seed": args.seed,
-           "triangles": [_triangle_json(t) for t in triangles]})
+           "triangles": _sample_rows(spec).tolist()})
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # causal classification band, relative to max(1, Euclidean norm^2)
+    # lightlike band of a plane, relative to its normal's Euclidean norm^2
     eps_light: float = 1e-9
     # membership on the unit quadric |<<x,x>>| = 1
     eps_surf: float = 1e-9

@@ -1,24 +1,24 @@
 """Seeded random generation of points, segments, and triangles by family.
 
-Families with measure-zero lightlike structure (lucilateral, photosceles,
-bimetrical, multiple) are built constructively from lightlike rays at e2 and
-then moved by a random Lorentz map; rejection sampling alone cannot reach
-them.  Every emitted triangle is validated against the classifier before it
-is returned.
+Every family is sampled the same way, by ``_sample_rows``: candidate rows are
+drawn in blocks, each sized from the rows still needed, and accepted by the
+array classifier ``triangles._classify_rows`` (``_accept_rows``).  The rows
+are the input of ``trig.law_batch``, and ``sample_triangle`` wraps them into
+triangles.  A ``mixed`` batch interleaves one such batch per family.
 
-The five families that have trig laws (hyperbolic, antipodal hyperbolic, both
-spatiolateral kinds, tempolateral) are drawn in blocks of candidate rows,
-sized from the rows still needed, and accepted by the array classifier
-``triangles._classify_rows`` with the conditioning bands of
-``_well_conditioned``; ``_sample_rows`` returns their vertex rows, the input
-of ``trig.law_batch``, and ``sample_triangle`` wraps them into triangles.
+Candidate points come from two parametrisations, (sinh v, cosh v cos t,
+cosh v sin t) on the de Sitter surface and (cosh u, sinh u cos t, sinh u sin t)
+on the forward sheet.  Families with measure-zero lightlike structure
+(lucilateral, photosceles, bimetrical, multiple) are built constructively
+from lightlike rays at e2 and then moved by a random Lorentz map; rejection
+sampling alone cannot reach them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from dataclasses import dataclass, replace
+from typing import List
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     RejectionBudgetExhausted,
     UnsupportedFamily,
 )
-from .mink import E2, MVec3, apply_matrix, random_lorentz
+from .mink import MVec3
 from .surfaces import (
     Component,
     SegmentKind,
@@ -41,8 +41,17 @@ from .surfaces import (
     surface_point,
     tangent_vector,
 )
-from .triangles import _SPACELIKE, LawFamily, ProperKind, Triangle, TriangleFamily
-from .triangles import _classify, _classify_rows, _Geometry
+from .triangles import (
+    _DE_SITTER,
+    _EMPTY,
+    _POINT,
+    _SPACELIKE,
+    _STRANGE,
+    ProperKind,
+    Triangle,
+    TriangleFamily,
+    _classify_rows,
+)
 
 # sampleable family names, used by SampleSpec and the CLI
 FAMILIES = (
@@ -103,216 +112,74 @@ def sample_point(
     return surface_point(x, tol)
 
 
-def _well_conditioned(t: Triangle, g: _Geometry) -> bool:
-    """Reject triangles too close to degeneracy for 1e-9 residual targets."""
-    A, B, C = (v.coords for v in t.vertices())
-    scale = A.euclid_norm() * B.euclid_norm() * C.euclid_norm()
-    if abs(g.det) < 1e-3 * scale:
-        return False
-    for s in g.sides:
-        d = s.length
-        if math.isfinite(d) and d < 0.05:
-            return False
-        if s.kind is SegmentKind.DE_SITTER_SPACELIKE and d > math.pi - 0.05:
-            return False
-    return True
-
-
-def _de_sitter_near_throat(rng, theta: float, v_lo: float, v_hi: float,
-                           tol: Tolerances) -> SurfacePoint:
-    v = rng.uniform(v_lo, v_hi) * (1.0 if rng.random() < 0.5 else -1.0)
-    return surface_point(
-        MVec3(math.sinh(v), math.cosh(v) * math.cos(theta),
-              math.cosh(v) * math.sin(theta)),
-        tol,
-    )
-
-
-def _lightlike_ray_point(t: float, plus: bool) -> MVec3:
-    """e2 + t(e1 +- e3); stays on the Lorentzian component for every t."""
-    return MVec3(t, 1.0, t if plus else -t)
-
-
-class _Budget:
-    def __init__(self, spec: SampleSpec):
-        self.spec = spec
-        self.attempts = 0
-        self.accepted = 0
-
-    def spend(self):
-        self.attempts += 1
-        if self.attempts > self.spec.rejection_budget:
-            raise RejectionBudgetExhausted(
-                self.spec.family, self.attempts - 1, self.accepted
-            )
-
-
-def _sceles_candidate(rng, spec, tol):
-    thetas = rng.uniform(0.0, 2.0 * math.pi, size=3)
-    pts = [_de_sitter_near_throat(rng, float(th), 0.1, 1.2, tol) for th in thetas]
-    return Triangle(*pts)
-
-
-def _photosceles_candidate(rng, spec, tol):
-    t1 = rng.uniform(0.3, 1.5)
-    if spec.family == "photosceles_timelike_base":
-        t2 = -rng.uniform(0.3, 1.5)
-    elif spec.family == "photosceles_spacelike_base":
-        t2 = rng.uniform(0.1, 0.9) / t1
-    elif spec.family == "lucilateral":
-        # all three sides lightlike forces collinear points on one ruling
-        t2 = -rng.uniform(0.3, 1.5)
-    else:
-        raise UnsupportedFamily(spec.family)
-    a = E2
-    b = _lightlike_ray_point(t1, plus=True)
-    c = _lightlike_ray_point(t2, plus=(spec.family == "lucilateral"))
-    m = random_lorentz(rng, orthochronous=True,
-                       max_rapidity=min(spec.max_rapidity, 1.0))
-    return Triangle.from_vectors(
-        apply_matrix(m, a), apply_matrix(m, b), apply_matrix(m, c), tol
-    )
-
-
-def _one_lightlike_candidate(rng, spec, tol):
-    # one lightlike side (A, B); the third vertex decides the remaining kinds
-    t1 = rng.uniform(0.3, 1.5) * (1.0 if rng.random() < 0.5 else -1.0)
-    a = E2
-    b = _lightlike_ray_point(t1, plus=True)
-    c = _de_sitter_near_throat(rng, rng.uniform(0.0, 2.0 * math.pi), 0.05, 1.2, tol)
-    m = random_lorentz(rng, orthochronous=True,
-                       max_rapidity=min(spec.max_rapidity, 1.0))
-    return Triangle.from_vectors(
-        apply_matrix(m, a), apply_matrix(m, b), apply_matrix(m, c.coords), tol
-    )
-
-
-def _strange_candidate(rng, spec, tol):
-    comps = [Component.H2, Component.NEG_H2, Component.DE_SITTER]
-    picks = [comps[i] for i in rng.integers(0, 3, size=3)]
-    if len(set(picks)) == 1:
-        picks[rng.integers(0, 3)] = comps[(comps.index(picks[0]) + 1) % 3]
-    cap = min(spec.max_rapidity, 1.5)
-    return Triangle(*(sample_point(p, rng, cap, tol) for p in picks))
-
-
-def _impossible_candidate(rng, spec, tol):
-    # widely separated de Sitter points make empty sides likely
-    pts = [sample_point(Component.DE_SITTER, rng, min(spec.max_rapidity, 2.0), tol)
-           for _ in range(3)]
-    return Triangle(*pts)
-
-
-def _accepts(spec: SampleSpec, t: Triangle, tol: Tolerances) -> bool:
-    cls, _, g = _classify(t, tol)
-    fam = spec.family
-    if fam == "strange":
-        return cls.family is TriangleFamily.STRANGE
-    if fam == "impossible":
-        return bool(cls.impossible_sides)
-    if fam == "hyperbolic":
-        ok = cls.family is TriangleFamily.HYPERBOLIC
-    elif fam == "antipodal_hyperbolic":
-        ok = cls.family is TriangleFamily.ANTIPODAL_HYPERBOLIC
-    elif fam == "lucilateral":
-        # lucilateral triangles are degenerate by construction; keep them
-        return cls.proper_kind is ProperKind.LUCILATERAL
-    else:
-        ok = cls.proper_kind is ProperKind(fam)
-    if not ok:
-        return False
-    if cls.degenerate:
-        return False
-    if fam in ("photosceles_spacelike_base", "photosceles_timelike_base",
-               "bimetrical_chorosceles", "bimetrical_chronosceles", "multiple"):
-        return True  # lightlike sides defeat the generic conditioning guard
-    return _well_conditioned(t, g)
-
-
-_CANDIDATES: dict = {
-    "chorosceles": _sceles_candidate,
-    "chronosceles": _sceles_candidate,
-    "lucilateral": _photosceles_candidate,
-    "photosceles_spacelike_base": _photosceles_candidate,
-    "photosceles_timelike_base": _photosceles_candidate,
-    "bimetrical_chorosceles": _one_lightlike_candidate,
-    "bimetrical_chronosceles": _one_lightlike_candidate,
-    "multiple": _one_lightlike_candidate,
-    "strange": _strange_candidate,
-    "impossible": _impossible_candidate,
-}
-
-
 def sample_triangle(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL) -> List[Triangle]:
-    """Batch of triangles whose classification matches spec.family."""
-    if spec.family in _BLOCK_KINDS:
-        return [Triangle.from_vectors(*(MVec3(*v) for v in row), tol)
-                for row in _sample_rows(spec, tol).tolist()]
-    rng = np.random.default_rng(spec.seed)
-    if spec.family == "mixed":
-        return _sample_mixed(spec, rng, tol)
-    maker = _CANDIDATES[spec.family]
-    budget = _Budget(spec)
-    out: List[Triangle] = []
-    while len(out) < spec.count:
-        budget.spend()
-        try:
-            t = maker(rng, spec, tol)
-        except MinkTrigError:
-            continue
-        if _accepts(spec, t, tol):
-            out.append(t)
-            budget.accepted += 1
-    return out
+    """Batch of triangles whose classification matches spec.family: the rows
+    of _sample_rows, as triangles."""
+    return [Triangle.from_vectors(*(MVec3(*v) for v in row), tol)
+            for row in _sample_rows(spec, tol).tolist()]
 
 
-def _sample_mixed(spec: SampleSpec, rng, tol) -> List[Triangle]:
-    """Row i is of family pool[i % len(pool)] and draws the i-th seed.  A row
-    of the other families is one triangle sampled from its seed; the rows of
-    each block-sampled family are one block, from the seed of its first row,
-    so the other families' rows do not depend on how the blocks are drawn."""
-    pool = [f for f in FAMILIES if f not in ("mixed",)]
-    rows = [(pool[i % len(pool)], int(rng.integers(0, 2**32)))
-            for i in range(spec.count)]
-
-    def sub(family, count, seed):
-        return sample_triangle(SampleSpec(
-            family=family, count=count, seed=seed,
-            max_rapidity=spec.max_rapidity, rejection_budget=spec.rejection_budget,
-        ), tol)
-
-    blocks = {}
-    for family in _BLOCK_KINDS:
-        seeds = [seed for f, seed in rows if f == family]
-        if seeds:
-            blocks[family] = iter(sub(family, len(seeds), seeds[0]))
-    return [next(blocks[f]) if f in blocks else sub(f, 1, seed)[0]
-            for f, seed in rows]
-
-
-# -- block sampling of the law families --------------------------------------
-
-# The class of each block-sampled family's rows: their triangle family and
-# the law family they are measured in.
-_BLOCK_KINDS = {
-    "hyperbolic": (TriangleFamily.HYPERBOLIC, LawFamily.HYP),
-    "antipodal_hyperbolic": (TriangleFamily.ANTIPODAL_HYPERBOLIC, LawFamily.HYP),
-    "spatiolateral_contractible": (TriangleFamily.PROPER, LawFamily.SPATIO_C),
-    "spatiolateral_noncontractible": (TriangleFamily.PROPER, LawFamily.SPATIO_NC),
-    "tempolateral": (TriangleFamily.PROPER, LawFamily.TEMPO),
-}
+# The sampleable families whose triangles have trig laws.
+_LAW_SAMPLES = FAMILIES[:5]
+# Families with lightlike sides, which defeat the conditioning bands.
+_LIGHTLIKE_SIDED = ("photosceles_spacelike_base", "photosceles_timelike_base",
+                    "bimetrical_chorosceles", "bimetrical_chronosceles", "multiple")
 
 
 def _accept_rows(spec: SampleSpec, V, tol: Tolerances):
-    """Which candidate rows _accepts would take: the family's class, outside
-    the det band, and _well_conditioned."""
-    family, law = _BLOCK_KINDS[spec.family]
+    """Which candidate rows are of spec.family.  A row off the quadric or with
+    coincident vertices never is.  Strange rows need only their family and
+    impossible rows an empty side.  Rows of the other families need their
+    class (the triangle family of hyperbolic rows, else the proper kind) and,
+    but for lucilateral rows, which are degenerate by construction, a det
+    outside the degeneracy band.  Rows without lightlike sides must also be
+    well conditioned for 1e-9 residual targets: |det| at least 1e-3 of its
+    scale, every finite side at least 0.05 long, and every spacelike side at
+    least 0.05 short of pi."""
+    family = spec.family
     c = _classify_rows(V, tol)
-    ok = ((c.family == list(TriangleFamily).index(family))
-          & (c.law == list(LawFamily).index(law)) & ~c.degenerate)
+    ok = (c.family >= 0) & (c.kinds != _POINT).all(axis=1)
+    if family == "strange":
+        return ok & (c.family == _STRANGE)
+    if family == "impossible":
+        return ok & (c.kinds == _EMPTY).any(axis=1)
+    if family in ("hyperbolic", "antipodal_hyperbolic"):
+        ok &= c.family == list(TriangleFamily).index(TriangleFamily(family))
+    else:
+        ok &= c.proper_kind == list(ProperKind).index(ProperKind(family))
+    if family == "lucilateral":
+        return ok
+    ok &= ~c.degenerate
+    if family in _LIGHTLIKE_SIDED:
+        return ok
     ok &= np.abs(c.det) >= 1e-3 * c.scale
     ok &= (c.lengths >= 0.05).all(axis=1)
     return ok & ((c.kinds != _SPACELIKE) | (c.lengths <= math.pi - 0.05)).all(axis=1)
+
+
+# -- candidate rows ------------------------------------------------------------
+
+def _de_sitter(v, theta):
+    """(sinh v, cosh v cos theta, cosh v sin theta), stacked on a last axis."""
+    return np.stack((np.sinh(v), np.cosh(v) * np.cos(theta),
+                     np.cosh(v) * np.sin(theta)), axis=-1)
+
+
+def _sheet(u, theta):
+    """(cosh u, sinh u cos theta, sinh u sin theta), on the forward sheet."""
+    return np.stack((np.cosh(u), np.sinh(u) * np.cos(theta),
+                     np.sinh(u) * np.sin(theta)), axis=-1)
+
+
+def _signed(rng, lo: float, hi: float, shape):
+    """Uniform in [lo, hi], each with a random sign."""
+    return rng.uniform(lo, hi, shape) * np.where(rng.random(shape) < 0.5, 1.0, -1.0)
+
+
+def _ray(t, sign: float):
+    """e2 + t(e1 + sign e3): on the de Sitter surface, and on a lightlike line
+    through e2, for every t."""
+    return np.stack((t, np.ones_like(t), sign * t), axis=-1)
 
 
 def _rotations(theta):
@@ -336,11 +203,19 @@ def _lorentz_rows(rng, size: int, max_rapidity: float):
     return r1 @ b @ r2
 
 
+def _from_e2(rng, spec: SampleSpec, B, C):
+    """Rows (e2, B, C), each moved by a random orthochronous Lorentz map of
+    rapidity at most min(max_rapidity, 1)."""
+    W = np.zeros((len(B), 3, 3))
+    W[:, 0, 1] = 1.0
+    W[:, 1], W[:, 2] = B, C
+    M = _lorentz_rows(rng, len(W), min(spec.max_rapidity, 1.0))
+    return W @ M.transpose(0, 2, 1)
+
+
 def _hyperbolic_rows(rng, spec: SampleSpec, size: int):
     u = rng.uniform(0.0, min(spec.max_rapidity, 1.5), (size, 3))
-    theta = rng.uniform(0.0, 2.0 * math.pi, (size, 3))
-    V = np.stack((np.cosh(u), np.sinh(u) * np.cos(theta),
-                  np.sinh(u) * np.sin(theta)), axis=-1)
+    V = _sheet(u, rng.uniform(0.0, 2.0 * math.pi, (size, 3)))
     return -V if spec.family == "antipodal_hyperbolic" else V
 
 
@@ -355,10 +230,7 @@ def _spatiolateral_rows(rng, spec: SampleSpec, size: int):
     else:
         theta = (base + np.array([0.0, 2.0, 4.0]) * math.pi / 3.0
                  + rng.uniform(-0.4, 0.4, (size, 3)))
-    v = rng.uniform(0.05, 0.35, (size, 3)) * np.where(
-        rng.random((size, 3)) < 0.5, 1.0, -1.0)
-    return np.stack((np.sinh(v), np.cosh(v) * np.cos(theta),
-                     np.cosh(v) * np.sin(theta)), axis=-1)
+    return _de_sitter(_signed(rng, 0.05, 0.35, (size, 3)), theta)
 
 
 def _tempolateral_rows(rng, spec: SampleSpec, size: int):
@@ -366,40 +238,109 @@ def _tempolateral_rows(rng, spec: SampleSpec, size: int):
     direction, moved by a random orthochronous Lorentz map."""
     s1, s2 = rng.uniform(0.1, 1.0, (2, size))
     t1, t2 = rng.uniform(0.2, 1.2, (2, size))
-    W = np.zeros((size, 3, 3))
-    W[:, 0, 1] = 1.0
     # cosh t e2 + sinh t x, with x = (cosh s1, 0, sinh s1) and (-cosh s2, 0, sinh s2)
-    W[:, 1] = np.stack((np.sinh(t1) * np.cosh(s1), np.cosh(t1),
-                        np.sinh(t1) * np.sinh(s1)), axis=-1)
-    W[:, 2] = np.stack((-np.sinh(t2) * np.cosh(s2), np.cosh(t2),
-                        np.sinh(t2) * np.sinh(s2)), axis=-1)
-    M = _lorentz_rows(rng, size, min(spec.max_rapidity, 1.0))
-    return W @ M.transpose(0, 2, 1)
+    B = np.stack((np.sinh(t1) * np.cosh(s1), np.cosh(t1), np.sinh(t1) * np.sinh(s1)),
+                 axis=-1)
+    C = np.stack((-np.sinh(t2) * np.cosh(s2), np.cosh(t2), np.sinh(t2) * np.sinh(s2)),
+                 axis=-1)
+    return _from_e2(rng, spec, B, C)
+
+
+def _sceles_rows(rng, spec: SampleSpec, size: int):
+    """Three de Sitter points near the throat, |v| in [0.1, 1.2]."""
+    theta = rng.uniform(0.0, 2.0 * math.pi, (size, 3))
+    return _de_sitter(_signed(rng, 0.1, 1.2, (size, 3)), theta)
+
+
+def _photosceles_rows(rng, spec: SampleSpec, size: int):
+    """e2 and two points on lightlike rays from it, moved by a random
+    orthochronous Lorentz map.  Lucilateral rows take both on the ray along
+    e1 + e3, so that all three sides are lightlike; photosceles rows take one
+    on each of the rays along e1 + e3 and e1 - e3, on the same side of e2 for
+    a spacelike base."""
+    t1 = rng.uniform(0.3, 1.5, size)
+    if spec.family == "photosceles_spacelike_base":
+        t2 = rng.uniform(0.1, 0.9, size) / t1
+    else:
+        t2 = -rng.uniform(0.3, 1.5, size)
+    return _from_e2(rng, spec, _ray(t1, 1.0),
+                    _ray(t2, 1.0 if spec.family == "lucilateral" else -1.0))
+
+
+def _one_lightlike_rows(rng, spec: SampleSpec, size: int):
+    """e2, a point on a lightlike ray from it and a de Sitter point near the
+    throat, |v| in [0.05, 1.2], moved by a random orthochronous Lorentz map:
+    side c is lightlike, and the third vertex decides the other two kinds."""
+    B = _ray(_signed(rng, 0.3, 1.5, size), 1.0)
+    C = _de_sitter(_signed(rng, 0.05, 1.2, size), rng.uniform(0.0, 2.0 * math.pi, size))
+    return _from_e2(rng, spec, B, C)
+
+
+def _strange_rows(rng, spec: SampleSpec, size: int):
+    """Three points, each on a component picked at random, with |u| and |v|
+    up to min(max_rapidity, 1.5); rows on a single component are refused."""
+    cap = min(spec.max_rapidity, 1.5)
+    component = rng.integers(0, 3, (size, 3, 1))
+    w = rng.uniform(-cap, cap, (size, 3))
+    theta = rng.uniform(0.0, 2.0 * math.pi, (size, 3))
+    sheet = _sheet(np.abs(w), theta)
+    # Component codes: 0 and 1 for the forward and backward sheets
+    return np.where(component == _DE_SITTER, _de_sitter(w, theta),
+                    np.where(component == 1, -sheet, sheet))
+
+
+def _impossible_rows(rng, spec: SampleSpec, size: int):
+    """Three de Sitter points with |v| up to min(max_rapidity, 2): widely
+    separated points make empty sides likely."""
+    cap = min(spec.max_rapidity, 2.0)
+    theta = rng.uniform(0.0, 2.0 * math.pi, (size, 3))
+    return _de_sitter(rng.uniform(-cap, cap, (size, 3)), theta)
 
 
 # Rows per candidate block at most, so that memory stays bounded when few
 # candidates pass (a block of 2**16 rows holds about 5 MB per array).
 _MAX_BLOCK = 1 << 16
 
-_BLOCK_CANDIDATES = {
+_MAKERS = {
     "hyperbolic": _hyperbolic_rows,
     "antipodal_hyperbolic": _hyperbolic_rows,
     "spatiolateral_contractible": _spatiolateral_rows,
     "spatiolateral_noncontractible": _spatiolateral_rows,
     "tempolateral": _tempolateral_rows,
+    "chorosceles": _sceles_rows,
+    "chronosceles": _sceles_rows,
+    "lucilateral": _photosceles_rows,
+    "bimetrical_chorosceles": _one_lightlike_rows,
+    "bimetrical_chronosceles": _one_lightlike_rows,
+    "photosceles_spacelike_base": _photosceles_rows,
+    "photosceles_timelike_base": _photosceles_rows,
+    "multiple": _one_lightlike_rows,
+    "strange": _strange_rows,
+    "impossible": _impossible_rows,
 }
 
 
 def _sample_rows(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
-    """A batch of one of the five law families (the keys of _BLOCK_KINDS):
-    its vertex rows, shape (count, 3, 3).
+    """The vertex rows of a batch of spec.family, shape (count, 3, 3).
 
     Candidates are drawn in blocks, each sized from the rows still needed and
-    the share accepted so far, up to _MAX_BLOCK rows.  spec.rejection_budget
-    counts candidates.
+    the share accepted so far, up to _MAX_BLOCK rows, and accepted by
+    _accept_rows.  spec.rejection_budget counts candidates.  Row i of a mixed
+    batch is of family FAMILIES[i % 15]: each family's rows are one block,
+    from a seed of its own drawn from spec.seed.
     """
+    if spec.family == "mixed":
+        pool = FAMILIES[:-1]
+        seeds = np.random.default_rng(spec.seed).integers(0, 2**32, len(pool))
+        V = np.empty((spec.count, 3, 3))
+        for j, family in enumerate(pool):
+            count = len(V[j::len(pool)])
+            if count:
+                V[j::len(pool)] = _sample_rows(replace(
+                    spec, family=family, count=count, seed=int(seeds[j])), tol)
+        return V
     rng = np.random.default_rng(spec.seed)
-    draw = _BLOCK_CANDIDATES[spec.family]
+    draw = _MAKERS[spec.family]
     blocks, accepted, attempts = [], 0, 0
     while accepted < spec.count:
         need = spec.count - accepted

@@ -152,7 +152,7 @@ def _side(a: SurfacePoint, b: SurfacePoint, tol: Tolerances) -> _Side:
     equal = points_equal(a, b)
     opposite = points_antipodal(a, b)
     lightlike = (not (equal or opposite)
-                 and abs(n2) <= tol.eps_light * max(1.0, euclid_dot(n, n)))
+                 and abs(n2) <= tol.eps_light * euclid_dot(n, n))
     if equal:
         kind, length = SegmentKind.POINT, 0.0
     elif opposite or a.component is not b.component:

@@ -328,8 +328,7 @@ def _classify_rows(V, tol: Tolerances) -> _Rows:
     e2 = _dot(E, E).reshape(4, -1, 3)
     equal, opposite, _, norms = np.sqrt(e2)
     equal, opposite = equal <= _POINT_EQ_TOL, opposite <= _POINT_EQ_TOL
-    lightlike = ((np.abs(n2) <= tol.eps_light * np.maximum(1.0, e2[2]))
-                 & ~(equal | opposite))
+    lightlike = (np.abs(n2) <= tol.eps_light * e2[2]) & ~(equal | opposite)
     cp, cq = comp.take(_J, axis=1), comp.take(_K, axis=1)
     kinds = np.where(
         equal, _POINT, np.where(

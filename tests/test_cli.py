@@ -173,7 +173,7 @@ class TestVerify:
     @pytest.mark.parametrize("family", ["chorosceles", "lucilateral", "strange"])
     def test_unsupported_sampled_family_exit_3(self, capsys, monkeypatch, family):
         # refused before any triangle is sampled
-        monkeypatch.setattr(cli, "sample_triangle", None)
+        monkeypatch.setattr(cli, "_sample_rows", None)
         code, out, err = run_cli(
             capsys, monkeypatch,
             ["verify", "--sample", family, "--count", "1000", "--seed", "4"],
@@ -288,6 +288,19 @@ class TestSample:
                                      stdin=payload)
             assert code2 == EXIT_OK
             assert json.loads(out2)["proper_kind"] == "chronosceles"
+
+    def test_mixed_batch_is_seeded_and_equals_sample_triangle(self, capsys,
+                                                               monkeypatch):
+        argv = ["sample", "--family", "mixed", "--count", "31", "--seed", "8"]
+        code, out, _ = run_cli(capsys, monkeypatch, argv)
+        assert code == EXIT_OK
+        assert run_cli(capsys, monkeypatch, argv) == (EXIT_OK, out, "")
+        spec = samplers.SampleSpec(family="mixed", count=31, seed=8)
+        assert json.loads(out)["triangles"] == [
+            [list(v.coords.as_tuple()) for v in t.vertices()]
+            for t in samplers.sample_triangle(spec)]
+        _, other, _ = run_cli(capsys, monkeypatch, argv[:-1] + ["9"])
+        assert json.loads(other)["triangles"] != json.loads(out)["triangles"]
 
     def test_negative_count_exit_2(self, capsys, monkeypatch):
         code, out, err = run_cli(

@@ -61,7 +61,7 @@ def classify_vector(x: MVec3) -> CausalClass:
     if x == ZERO:
         return CausalClass.SPACELIKE
     q = minkowski_product(x, x)
-    if abs(q) <= DEFAULT_TOL.eps_light * max(1.0, euclid_dot(x, x)):
+    if abs(q) <= DEFAULT_TOL.eps_light * euclid_dot(x, x):
         return CausalClass.LIGHTLIKE
     return CausalClass.TIMELIKE if q < 0.0 else CausalClass.SPACELIKE
 

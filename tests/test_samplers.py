@@ -14,7 +14,6 @@ from minktrig.errors import (
 )
 from minktrig import samplers
 from minktrig.samplers import (
-    _BLOCK_KINDS,
     FAMILIES,
     SampleSpec,
     _sample_rows,
@@ -27,6 +26,20 @@ from minktrig.surfaces import Component, SegmentKind, distance, surface_point
 from minktrig.triangles import ProperKind, TriangleFamily, classify_triangle
 
 from conftest import vec
+
+SAMPLED = FAMILIES[:-1]  # every family but mixed
+
+
+def of_family(t, family):
+    """Whether the classifier puts t in the sampled family."""
+    cls, _ = classify_triangle(t)
+    if family == "strange":
+        return cls.family is TriangleFamily.STRANGE
+    if family == "impossible":
+        return bool(cls.impossible_sides)
+    if family in ("hyperbolic", "antipodal_hyperbolic"):
+        return cls.family is TriangleFamily(family)
+    return cls.proper_kind is ProperKind(family)
 
 
 class TestSamplePoint:
@@ -59,20 +72,10 @@ class TestSampleTriangle:
             for v1, v2 in zip(t1.vertices(), t2.vertices()):
                 assert v1.coords == v2.coords
 
-    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "mixed"])
+    @pytest.mark.parametrize("family", SAMPLED)
     def test_round_trip_through_classifier(self, family):
         for t in sample_triangle(SampleSpec(family=family, count=10, seed=31)):
-            cls, _ = classify_triangle(t)
-            if family == "strange":
-                assert cls.family is TriangleFamily.STRANGE
-            elif family == "impossible":
-                assert cls.impossible_sides
-            elif family == "hyperbolic":
-                assert cls.family is TriangleFamily.HYPERBOLIC
-            elif family == "antipodal_hyperbolic":
-                assert cls.family is TriangleFamily.ANTIPODAL_HYPERBOLIC
-            else:
-                assert cls.proper_kind is ProperKind(family)
+            assert of_family(t, family)
 
     def test_noncontractible_side_sums_exceed_two_pi(self):
         spec = SampleSpec(family="spatiolateral_noncontractible", count=20, seed=33)
@@ -88,9 +91,9 @@ class TestSampleTriangle:
 
 
 class TestBlockSampling:
-    """The five law families, drawn in blocks of candidate rows."""
+    """Every family, drawn in blocks of candidate rows."""
 
-    @pytest.mark.parametrize("family", list(_BLOCK_KINDS))
+    @pytest.mark.parametrize("family", SAMPLED)
     def test_deterministic_under_seed(self, family):
         spec = SampleSpec(family=family, count=300, seed=51)
         rows = _sample_rows(spec)
@@ -102,17 +105,11 @@ class TestBlockSampling:
         other = _sample_rows(SampleSpec(family=family, count=300, seed=52))
         assert not np.array_equal(rows, other)
 
-    @pytest.mark.parametrize("family", list(_BLOCK_KINDS))
+    @pytest.mark.parametrize("family", SAMPLED)
     def test_count_one(self, family):
         for seed in range(5):
             (t,) = sample_triangle(SampleSpec(family=family, count=1, seed=seed))
-            cls, _ = classify_triangle(t)
-            if family == "hyperbolic":
-                assert cls.family is TriangleFamily.HYPERBOLIC
-            elif family == "antipodal_hyperbolic":
-                assert cls.family is TriangleFamily.ANTIPODAL_HYPERBOLIC
-            else:
-                assert cls.proper_kind is ProperKind(family)
+            assert of_family(t, family)
 
     @pytest.mark.parametrize("family, count, budget", [
         ("hyperbolic", 5, 2),
@@ -131,13 +128,13 @@ class TestBlockSampling:
     def test_blocks_stay_bounded_when_nothing_is_accepted(self, monkeypatch):
         # points this close to e1 make every side shorter than the 0.05 floor
         sizes = []
-        draw = samplers._BLOCK_CANDIDATES["hyperbolic"]
+        draw = samplers._MAKERS["hyperbolic"]
 
         def recording(rng, spec, size):
             sizes.append(size)
             return draw(rng, spec, size)
 
-        monkeypatch.setitem(samplers._BLOCK_CANDIDATES, "hyperbolic", recording)
+        monkeypatch.setitem(samplers._MAKERS, "hyperbolic", recording)
         spec = SampleSpec(family="hyperbolic", count=5, seed=56, max_rapidity=1e-4,
                           rejection_budget=300_000)
         with pytest.raises(RejectionBudgetExhausted) as exc:
@@ -147,8 +144,20 @@ class TestBlockSampling:
         assert max(sizes) == samplers._MAX_BLOCK
 
     def test_mixed_batches_take_single_block_rows(self):
-        triangles = sample_triangle(SampleSpec(family="mixed", count=30, seed=54))
-        assert len(triangles) == 30
+        # family j's rows are one batch of the family, from the j-th seed
+        # drawn from the mixed batch's seed
+        V = _sample_rows(SampleSpec(family="mixed", count=30, seed=54))
+        seeds = np.random.default_rng(54).integers(0, 2**32, len(SAMPLED))
+        for j, family in enumerate(SAMPLED):
+            block = _sample_rows(SampleSpec(family=family, count=2, seed=int(seeds[j])))
+            assert np.array_equal(V[j::len(SAMPLED)], block)
+
+    @pytest.mark.parametrize("count", [1, 14, 15, 16, 46])
+    def test_mixed_rows_cycle_through_the_families(self, count):
+        triangles = sample_triangle(SampleSpec(family="mixed", count=count, seed=55))
+        assert len(triangles) == count
+        for i, t in enumerate(triangles):
+            assert of_family(t, SAMPLED[i % len(SAMPLED)])
 
 
 class TestArcLengthOracle:

@@ -41,9 +41,24 @@ def test_verify_laws_main_prints_every_family(capsys):
 
 def test_polar_survey_main_prints_its_table(capsys):
     assert load("polar_survey").main(["--count", "100", "--seed", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    *lines, last = capsys.readouterr().out.splitlines()
+    assert last == "type-mapping violations: 0"
     sources = [line for line in lines if not line.startswith("  -> ")]
     counts = [int(line.rsplit(": ", 1)[1]) for line in lines if line.startswith("  -> ")]
     assert "hyperbolic" in sources and "tempolateral" in sources
     assert sum(counts) == 100
     assert any("nonexistent:" in line for line in lines)
+
+
+def test_polar_survey_counts_violations_and_exits_1(capsys, monkeypatch):
+    # a prediction that no polar satisfies: every row whose polar exists
+    # and is not the zero triangle is a violation
+    polar_survey = load("polar_survey")
+    monkeypatch.setattr(polar_survey, "prediction_satisfied", lambda pred, cls: False)
+    assert polar_survey.main(["--count", "100", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    built = sum(int(line.rsplit(": ", 1)[1]) for line in lines
+                if line.startswith("  -> ") and "nonexistent:" not in line
+                and "zero_triangle" not in line)
+    assert lines[-1] == f"type-mapping violations: {built}"
+    assert built > 0

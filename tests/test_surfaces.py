@@ -186,6 +186,20 @@ class TestSegmentKind:
         assert segment_kind(sp(1, 0, 0), sp(math.cosh(1), math.sinh(1), 0)) \
             is SegmentKind.HYPERBOLIC
 
+    @pytest.mark.parametrize("d", [1e-4, 1e-6])
+    def test_short_sides_keep_their_kind(self, d):
+        # the light band scales with |a x b|^2, so shortness alone does not
+        # make a side lightlike
+        a = sp(0, 1, 0)
+        timelike = sp(math.sinh(d), math.cosh(d), 0)
+        spacelike = sp(0, math.cos(d), math.sin(d))
+        lightlike = surface_point(a.coords + d * vec(1, 0, 1))
+        assert segment_kind(a, timelike) is SegmentKind.DE_SITTER_TIMELIKE
+        assert segment_kind(a, spacelike) is SegmentKind.DE_SITTER_SPACELIKE
+        # arccos near 1 keeps about half the digits
+        assert distance(a, spacelike) == pytest.approx(d, rel=1e-3)
+        assert segment_kind(a, lightlike) is SegmentKind.DE_SITTER_LIGHTLIKE
+
 
 class TestTangentVector:
     def test_hyperbolic_direction(self):
