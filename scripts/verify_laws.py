@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Sample triangles per family and summarize trigonometric-law residuals.
 
-The batches are sampled and measured on the array path `minktrig verify
---sample` runs, so the figures are the ones the CLI reports for the same
-family, count and seed.
+The batches are sampled and measured on the path `minktrig verify --sample`
+runs, the sampler handing its classification of the rows to the law kernel,
+so the figures are the ones the CLI reports for the same family, count and
+seed.
 
 Usage:
     python3 scripts/verify_laws.py --count 2000 --seed 7
@@ -13,14 +14,16 @@ Usage:
 import argparse
 import math
 
-from minktrig.samplers import _LAW_SAMPLES, SampleSpec, _sample_rows
-from minktrig.trig import law_batch
+from minktrig.constants import DEFAULT_TOL
+from minktrig.samplers import _LAW_SAMPLES, SampleSpec, _sample_classified
+from minktrig.trig import _law_rows
 
 LAW_FAMILIES = _LAW_SAMPLES
 
 
 def summarize(family: str, count: int, seed: int) -> dict:
-    batch = law_batch(_sample_rows(SampleSpec(family=family, count=count, seed=seed)))
+    spec = SampleSpec(family=family, count=count, seed=seed)
+    batch = _law_rows(*_sample_classified(spec), DEFAULT_TOL)
     batch.raise_first()
     residuals = batch.max_residual
     out = {"max_residual": float(residuals.max()),

@@ -26,10 +26,10 @@ from .constants import DEFAULT_RESIDUAL_BOUND, DEFAULT_TOL
 from .errors import MinkTrigError, PolarNonExistent, UnsupportedFamily
 from .mink import MVec3
 from .polar import polar_triangle
-from .samplers import _LAW_SAMPLES, FAMILIES, SampleSpec, _sample_rows
+from .samplers import _LAW_SAMPLES, FAMILIES, SampleSpec, _sample_classified, _sample_rows
 from .surfaces import _segment, surface_point
-from .triangles import Triangle, _inequality_report, classify_triangle
-from .trig import LawBatch, law_batch
+from .triangles import LawFamily, Triangle, _inequality_report, classify_triangle
+from .trig import _HYP, _SPATIO_C, _SPATIO_NC, LawBatch, _law_rows, law_batch
 
 SCHEMA = "minktrig/1"
 
@@ -179,9 +179,11 @@ def _verify_batch(args) -> LawBatch:
         count = _at_least(args.count, 1, "--count")
         spec = SampleSpec(family=args.sample, count=count,
                           seed=_at_least(args.seed, 0, "--seed"))
-        if spec.family not in _LAW_SAMPLES and spec.family != "mixed":
+        if spec.family == "mixed":
+            return law_batch(_sample_rows(spec))
+        if spec.family not in _LAW_SAMPLES:
             raise UnsupportedFamily(f"no trig laws for {spec.family} triangles")
-        return law_batch(_sample_rows(spec))
+        return _law_rows(*_sample_classified(spec), DEFAULT_TOL)
     data = _load_json(args)
     _check_fields(data, {"vertices"}, args.strict)
     t = _parse_triangle(data)
@@ -197,6 +199,10 @@ _REPORT = ('{"family": "%s", "lcs_residuals": [%s, %s, %s], '
 _REPORTS = ('{"schema": "%s", "reports": [%s], "summary": {"count": %d, '
             '"max_residual": %s, "failures": %d, "tolerance": %s}}\n')
 _BOOL = ("false", "true")
+_LAW_NAMES = tuple(f.value for f in LawFamily)
+# Rows from which np.unique formats a batch's residuals faster than _number
+# on each one.
+_UNIQUE_ROWS = 4
 
 
 def _number(x: Optional[float]) -> str:
@@ -209,33 +215,57 @@ def _number(x: Optional[float]) -> str:
     return "NaN" if x != x else '"inf"'
 
 
+def _floats(x) -> list:
+    """The %s arguments of the rows of floats x, shape (k, N): a finite float
+    as it is, since its str is its repr, and any other as _number writes it."""
+    if np.isfinite(x).all():
+        return x.tolist()
+    return [[v if v - v == 0.0 else _number(v) for v in row] for row in x.tolist()]
+
+
+def _sums(x, applies) -> list:
+    """The %s arguments of a column of sums, null where applies is False."""
+    if not applies.any():
+        return ["null"] * len(x)
+    (values,) = _floats(x[None])
+    if applies.all():
+        return values
+    return [v if a else "null" for v, a in zip(values, applies.tolist())]
+
+
 def _write_reports(batch: LawBatch, bound: float) -> int:
     """Write the verify payload of the batch's rows, byte for byte what _emit
     writes for it, and return the number of rows beyond the bound.
 
     The text is read straight off the batch's columns, one _REPORT per row.
     The residuals are small multiples of an ulp, so a batch holds few
-    distinct ones, and each is formatted once.  The memo is keyed by value
-    and 0.0 == -0.0, so this relies on the residuals being absolute values,
-    which never hold -0.0; a NaN equals nothing and never hits the memo.  The
-    other columns go to %s as finite floats, whose str is their repr, or as
-    _number's text.
+    distinct ones: one np.unique over the seven residual columns finds them,
+    and each is formatted once.  np.unique takes 0.0 and -0.0 for one value,
+    so this relies on the residuals being absolute values, which never hold
+    -0.0.  Family names and within-tolerance flags are read from tables.
     """
-    memo = {}
-    get, put = memo.get, memo.setdefault
-    worst = batch.max_residual.tolist()
-    within = [_BOOL[x <= bound] for x in worst]
-    residuals = [[get(x) or put(x, _number(x)) for x in column]
-                 for column in batch.lcs.T.tolist() + batch.lca.T.tolist() + [worst]]
-    direct = [[x if x is not None and x - x == 0.0 else _number(x) for x in column]
-              for column in batch.ratios.T.tolist()
-              + [batch.angle_sums(), batch.side_sums()]]
-    columns = zip([f.value for f in batch.families()], *residuals[:6], *direct,
-                  residuals[6], within)
-    failures = within.count("false")
+    n = len(batch.status)
+    family, worst = batch.family, batch.max_residual
+    angles, sides = batch.angles, batch.sides
+    stacked = np.concatenate((batch.lcs.T, batch.lca.T, worst[None]))
+    if n < _UNIQUE_ROWS:
+        residuals = [list(map(_number, column)) for column in stacked.tolist()]
+    else:
+        unique, inverse = np.unique(stacked, return_inverse=True)
+        residuals = np.array(list(map(_number, unique.tolist())),
+                             dtype=object)[inverse.reshape(7, n)].tolist()
+    within = (worst <= bound).tolist()
+    columns = zip(
+        map(_LAW_NAMES.__getitem__, family.tolist()), *residuals[:6],
+        *_floats(batch.ratios.T),
+        _sums(angles[:, 0] + angles[:, 1] + angles[:, 2], family == _HYP),
+        _sums(sides[:, 0] + sides[:, 1] + sides[:, 2],
+              (family == _SPATIO_NC) | (family == _SPATIO_C)),
+        residuals[6], map(_BOOL.__getitem__, within))
+    failures = within.count(False)
     sys.stdout.write(_REPORTS % (
-        SCHEMA, ", ".join(map(_REPORT.__mod__, columns)), len(worst),
-        _number(max(worst, default=0.0)), failures, _number(bound)))
+        SCHEMA, ", ".join(map(_REPORT.__mod__, columns)), n,
+        _number(max(worst.tolist(), default=0.0)), failures, _number(bound)))
     return failures
 
 

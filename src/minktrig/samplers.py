@@ -1,10 +1,13 @@
 """Seeded random generation of points, segments, and triangles by family.
 
-Every family is sampled the same way, by ``_sample_rows``: candidate rows are
-drawn in blocks, each sized from the rows still needed, and accepted by the
-array classifier ``triangles._classify_rows`` (``_accept_rows``).  The rows
-are the input of ``trig.law_batch``, and ``sample_triangle`` wraps them into
-triangles.  A ``mixed`` batch interleaves one such batch per family.
+Every family is sampled the same way, by ``_sample_classified``: candidate
+rows are drawn in blocks, each sized from the rows still needed, classified
+once by the array classifier ``triangles._classify_rows`` and accepted on
+that classification (``_accept_rows``).  The accepted rows and their share of
+the classification are the input of the law kernel (``trig._law_rows``), so
+``verify --sample`` classifies each row once.  ``_sample_rows`` keeps the
+rows alone, and ``sample_triangle`` wraps them into triangles.  A ``mixed``
+batch interleaves one such batch per family.
 
 Candidate points come from two parametrisations, (sinh v, cosh v cos t,
 cosh v sin t) on the de Sitter surface and (cosh u, sinh u cos t, sinh u sin t)
@@ -51,6 +54,7 @@ from .triangles import (
     Triangle,
     TriangleFamily,
     _classify_rows,
+    _Rows,
 )
 
 # sampleable family names, used by SampleSpec and the CLI
@@ -126,18 +130,17 @@ _LIGHTLIKE_SIDED = ("photosceles_spacelike_base", "photosceles_timelike_base",
                     "bimetrical_chorosceles", "bimetrical_chronosceles", "multiple")
 
 
-def _accept_rows(spec: SampleSpec, V, tol: Tolerances):
-    """Which candidate rows are of spec.family.  A row off the quadric or with
-    coincident vertices never is.  Strange rows need only their family and
-    impossible rows an empty side.  Rows of the other families need their
-    class (the triangle family of hyperbolic rows, else the proper kind) and,
-    but for lucilateral rows, which are degenerate by construction, a det
-    outside the degeneracy band.  Rows without lightlike sides must also be
+def _accept_rows(spec: SampleSpec, c: _Rows):
+    """Which candidate rows, classified as c, are of spec.family.  A row off
+    the quadric or with coincident vertices never is.  Strange rows need only
+    their family and impossible rows an empty side.  Rows of the other
+    families need their class (the triangle family of hyperbolic rows, else
+    the proper kind) and, but for lucilateral rows, which are degenerate by
+    construction, a det outside the degeneracy band.  Rows without lightlike sides must also be
     well conditioned for 1e-9 residual targets: |det| at least 1e-3 of its
     scale, every finite side at least 0.05 long, and every spacelike side at
     least 0.05 short of pi."""
     family = spec.family
-    c = _classify_rows(V, tol)
     ok = (c.family >= 0) & (c.kinds != _POINT).all(axis=1)
     if family == "strange":
         return ok & (c.family == _STRANGE)
@@ -323,22 +326,32 @@ _MAKERS = {
 def _sample_rows(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
     """The vertex rows of a batch of spec.family, shape (count, 3, 3).
 
-    Candidates are drawn in blocks, each sized from the rows still needed and
-    the share accepted so far, up to _MAX_BLOCK rows, and accepted by
-    _accept_rows.  spec.rejection_budget counts candidates.  Row i of a mixed
-    batch is of family FAMILIES[i % 15]: each family's rows are one block,
-    from a seed of its own drawn from spec.seed.
+    Row i of a mixed batch is of family FAMILIES[i % 15]: each family's rows
+    are one batch, from a seed of its own drawn from spec.seed.
     """
-    if spec.family == "mixed":
-        pool = FAMILIES[:-1]
-        seeds = np.random.default_rng(spec.seed).integers(0, 2**32, len(pool))
-        V = np.empty((spec.count, 3, 3))
-        for j, family in enumerate(pool):
-            count = len(V[j::len(pool)])
-            if count:
-                V[j::len(pool)] = _sample_rows(replace(
-                    spec, family=family, count=count, seed=int(seeds[j])), tol)
-        return V
+    if spec.family != "mixed":
+        return _sample_classified(spec, tol)[0]
+    pool = FAMILIES[:-1]
+    seeds = np.random.default_rng(spec.seed).integers(0, 2**32, len(pool))
+    V = np.empty((spec.count, 3, 3))
+    for j, family in enumerate(pool):
+        count = len(V[j::len(pool)])
+        if count:
+            V[j::len(pool)] = _sample_classified(replace(
+                spec, family=family, count=count, seed=int(seeds[j])), tol)[0]
+    return V
+
+
+def _sample_classified(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
+    """The rows of a batch of spec.family, a single family, and their
+    classification, equal to _classify_rows of the rows.
+
+    Candidates are drawn in blocks, each sized from the rows still needed and
+    the share accepted so far, up to _MAX_BLOCK rows, and classified once:
+    _accept_rows reads the block's classification, and the accepted rows keep
+    their slice of it, which is what classifying them again would give, since
+    _classify_rows works row by row.  spec.rejection_budget counts candidates.
+    """
     rng = np.random.default_rng(spec.seed)
     draw = _MAKERS[spec.family]
     blocks, accepted, attempts = [], 0, 0
@@ -351,10 +364,15 @@ def _sample_rows(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
             raise RejectionBudgetExhausted(spec.family, attempts, accepted)
         V = draw(rng, spec, size)
         attempts += size
-        V = V[_accept_rows(spec, V, tol)][:need]
-        blocks.append(V)
-        accepted += len(V)
-    return np.concatenate(blocks)
+        c = _classify_rows(V, tol)
+        keep = np.flatnonzero(_accept_rows(spec, c))[:need]
+        blocks.append((V[keep], [x[keep] for x in c]))
+        accepted += len(keep)
+    if len(blocks) == 1:
+        V, c = blocks[0]
+        return V, _Rows(*c)
+    return (np.concatenate([V for V, _ in blocks]),
+            _Rows(*map(np.concatenate, zip(*(c for _, c in blocks)))))
 
 
 def sample_segment(

@@ -9,10 +9,12 @@ p = <<a,b>> and n2 = <<a x b, a x b>>, which equals p^2 - <<a,a>><<b,b>> by the
 Lorentzian Binet-Cauchy identity.  Across components the segment is empty.  On
 the Lorentzian component it is empty when p <= -1; otherwise the plane
 span(a, b) is lightlike when n2 is within the light band, and the segment is
-lightlike with length 0, timelike with length arcosh p when p > 1, and
-spacelike with length arccos p in between.  On a sheet its length is
-arcosh(-p).  sqrt|n2| normalises the tangent vectors.  segment_kind, distance
-and tangent_vector are views of that one rule, so they cannot disagree.
+lightlike with length 0, timelike with length arcosh p when n2 > 0, and
+spacelike with length arccos p otherwise: the sign of n2, not p, tells the
+two apart, since p rounds to exactly 1 on sides shorter than about 1e-8.  On
+a sheet its length is arcosh(-p).  sqrt|n2| normalises the tangent vectors.
+segment_kind, distance and tangent_vector are views of that one rule, so
+they cannot disagree.
 
 n2 is evaluated from the cross product rather than as p^2 - <<a,a>><<b,b>>: on
 a short side p is close to 1 and that difference loses the digits the cross
@@ -165,10 +167,14 @@ def _side(a: SurfacePoint, b: SurfacePoint, tol: Tolerances) -> _Side:
         kind, length = SegmentKind.EMPTY, math.inf
     elif lightlike:
         kind, length = SegmentKind.DE_SITTER_LIGHTLIKE, 0.0
-    elif p > 1.0:
-        kind, length = SegmentKind.DE_SITTER_TIMELIKE, math.acosh(p)
+    # p may round to 1, or just past it, on short sides; the clamps are
+    # conditional expressions, as max and min calls cost 1% of a classify
+    elif n2 > 0.0:
+        kind = SegmentKind.DE_SITTER_TIMELIKE
+        length = math.acosh(p if p > 1.0 else 1.0)
     else:
-        kind, length = SegmentKind.DE_SITTER_SPACELIKE, math.acos(p)
+        kind = SegmentKind.DE_SITTER_SPACELIKE
+        length = math.acos(p if p < 1.0 else 1.0)
     return _Side(kind, length, p, n, n2, lightlike, opposite)
 
 

@@ -336,7 +336,7 @@ def _classify_rows(V, tol: Tolerances) -> _Rows:
                 cp < _DE_SITTER, cp, np.where(
                     p <= -1.0, _EMPTY, np.where(
                         lightlike, _LIGHTLIKE,
-                        np.where(p > 1.0, _TIMELIKE, _SPACELIKE))))))
+                        np.where(n2 > 0.0, _TIMELIKE, _SPACELIKE))))))
     # arcosh(-p) on a sheet, where p <= -1, and arcosh p on a timelike side
     lengths = np.where(
         kinds == _SPACELIKE, np.arccos(np.minimum(np.maximum(p, -1.0), 1.0)),

@@ -7,16 +7,26 @@ in their sign patterns, so they are stated once, as rows of the ``_LAWS`` sign
 table, and evaluated as residuals, never solved.
 
 All of it runs as one array kernel, ``law_batch``, over vertex rows of shape
-(N, 3, 3); ``trig_report`` is its N = 1 view.  The kernel classifies its rows
-with ``triangles._classify_rows``, which reads each row's law family off its
-side kinds and contractibility, and takes the side lengths and the products
-p = <<V, W>> and n2 = <<V x W, V x W>> from it.  The angles are measured as
-Minkowski products of the unit tangents built at each vertex, normalised by
-sqrt|n2|.  The tempolateral apex and the contractible spatiolateral anchor
-are sign tests on the vertex products g_ij = <<Vi, Vj>>.  For de Sitter
-vertices r_i = g_jk - g_ij g_ik is, up to positive factors, the product of
-the tangents at Vi toward Vj and Vk, and also the (j, k) entry of the polar
-triangle's Gram matrix.
+(N, 3, 3); ``trig_report`` is its N = 1 view.  The kernel reads each row's
+law family, side lengths and products p = <<V, W>> and n2 = <<V x W, V x W>>
+off the classification ``triangles._classify_rows`` makes of its rows.
+``law_batch`` classifies the rows itself; ``verify --sample`` hands
+``_law_rows`` the classification the sampler already made to accept the
+rows, so each sampled row is classified once.
+
+Each law family present is evaluated on its own rows with its ``_LAWS`` row
+as constants: one cos/sin or cosh/sinh pair for the sides and one for the
+angles, arccos or arcosh for the angles, and the apex or anchor search and
+relabelling only for tempolateral and contractible spatiolateral rows.  A
+batch of one law family, which every sampled batch of a law family and every
+batch of one row is, is evaluated as it is, with no grouping.
+
+The angles are measured as Minkowski products of the unit tangents built at
+each vertex, normalised by sqrt|n2|.  The tempolateral apex and the
+contractible spatiolateral anchor are sign tests on the vertex products
+g_ij = <<Vi, Vj>>.  For de Sitter vertices r_i = g_jk - g_ij g_ik is, up to
+positive factors, the product of the tangents at Vi toward Vj and Vk, and
+also the (j, k) entry of the polar triangle's Gram matrix.
 
 A row that cannot be measured gets a status code in place of an exception;
 ``LawBatch.raise_first`` raises the error of the first such row.
@@ -24,6 +34,7 @@ A row that cannot be measured gets a status code in place of an exception;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -93,53 +104,71 @@ _LAWS = np.array([
 _EJ = np.array([1, 0, 0, 4, 3, 3])
 _EK = np.array([2, 2, 1, 5, 5, 4])
 _SWAP = np.array([3, 4, 5, 0, 1, 2])
-_GROUP = np.array([0, 0, 0, 1, 1, 1])  # the hyperbolic column of each value
-_PRODUCT = _GROUP + 2  # the product sign column of each equation
+_PRODUCT = np.array([2, 2, 2, 3, 3, 3])  # the product sign column of each equation
 
 
-def _vertex_hits(family, p):
-    """Per vertex, whether it is the tempolateral apex (r_i > 0) or the
-    contractible anchor (r_j > 0 and r_k > 0); False in other families."""
+def _vertex_hits(family: int, p):
+    """Per vertex of rows of one law family, whether it is the tempolateral
+    apex (r_i > 0) or the contractible anchor (r_j > 0 and r_k > 0)."""
     positive = (p - p.take(_J, axis=1) * p.take(_K, axis=1)) > 0.0
-    family = family[:, None]
-    return np.where(family == _TEMPO, positive,
-                    positive.take(_J, axis=1) & positive.take(_K, axis=1)
-                    & (family == _SPATIO_C))
+    if family == _TEMPO:
+        return positive
+    return positive.take(_J, axis=1) & positive.take(_K, axis=1)
 
 
-def _angles(V, family, p, n2, tol: Tolerances):
+def _angles(V, sheet: bool, p, n2, tol: Tolerances):
     """Angles at A, B, C, each read off the Minkowski product of the unit
-    tangents toward the other two vertices, and each row's clamp verdict.
-    The sides of a law family are never lightlike, so every tangent is
-    normalised by sqrt|n2|."""
-    sheet = (family == _HYP)[:, None]
+    tangents toward the other two vertices, and each row's clamp verdict, for
+    rows on a hyperboloid sheet or rows on the de Sitter surface.  The sides
+    of a law family are never lightlike, so every tangent is normalised by
+    sqrt|n2|."""
     X = V.transpose(2, 0, 1)  # coordinate, row, vertex
     At, ps = X.take(_TV, axis=2), p.take(_TS, axis=1)
-    coef = np.where(sheet, -ps, ps)  # on a sheet B + pA, else B - pA
+    coef = -ps if sheet else ps  # on a sheet B + pA, else B - pA
     norm = np.sqrt(np.abs(n2.take(_TS, axis=1)))
     T = (X.take(_TW, axis=2) - coef * At) / norm
     prod = _mink(T[:, :, 0::2], T[:, :, 1::2])
     size = np.abs(prod)
-    angles = np.where(sheet, np.arccos(np.minimum(np.maximum(prod, -1.0), 1.0)),
-                      np.arccosh(np.maximum(size, 1.0)))
-    beyond = np.where(sheet, size - 1.0, 1.0 - size) > tol.eps_clamp
-    return angles, beyond.any(axis=1)
+    if sheet:
+        angles = np.arccos(np.minimum(np.maximum(prod, -1.0), 1.0))
+        return angles, (size - 1.0 > tol.eps_clamp).any(axis=1)
+    return np.arccosh(np.maximum(size, 1.0)), (1.0 - size > tol.eps_clamp).any(axis=1)
 
 
-def _laws(family, sides, angles):
+def _cos_sin(x, hyperbolic: bool):
+    return (np.cosh(x), np.sinh(x)) if hyperbolic else (np.cos(x), np.sin(x))
+
+
+def _laws(law, sides, angles):
     """Residuals of the six law-of-cosines equations (sides a, b, c, then
-    angles), the law-of-sines ratios, and where a ratio's denominator vanishes."""
-    law = _LAWS.take(family, axis=0)
-    values = np.concatenate((sides, angles), axis=1)
-    hyperbolic = law.take(_GROUP, axis=1) > 0.0
-    c = np.where(hyperbolic, np.cosh(values), np.cos(values))
-    s = np.where(hyperbolic, np.sinh(values), np.sin(values))
+    angles), the law-of-sines ratios, and where a ratio's denominator vanishes,
+    for rows of the law family whose _LAWS row is law."""
+    (sc, ss), (ac, sa) = _cos_sin(sides, law[0] > 0.0), _cos_sin(angles, law[1] > 0.0)
+    c, s = np.concatenate((sc, ac), axis=1), np.concatenate((ss, sa), axis=1)
     cj, ck = c.take(_EJ, axis=1), c.take(_EK, axis=1)
     sj, sk = s.take(_EJ, axis=1), s.take(_EK, axis=1)
-    residuals = np.abs(c - (law.take(_PRODUCT, axis=1) * cj * ck
-                            + law[:, 4:] * c.take(_SWAP, axis=1) * sj * sk))
-    vanishing = (np.abs(s[:, :3]) < 1e-300).any(axis=1)
-    return residuals, s[:, 3:] / s[:, :3], vanishing
+    residuals = np.abs(c - (law[_PRODUCT] * cj * ck
+                            + law[4:] * c.take(_SWAP, axis=1) * sj * sk))
+    vanishing = (np.abs(ss) < 1e-300).any(axis=1)
+    return residuals, sa / ss, vanishing
+
+
+def _measure(family: int, V, p, n2, lengths, tol: Tolerances):
+    """Sides, angles, law residuals, sine ratios, vanishing and clamp verdicts
+    and apex or anchor counts of rows of one law family.  Only tempolateral
+    and contractible spatiolateral rows are searched for their apex or anchor
+    and relabelled."""
+    angles, clamp = _angles(V, family == _HYP, p, n2, tol)
+    if family in (_TEMPO, _SPATIO_C):
+        hits = _vertex_hits(family, p)
+        count = hits.sum(axis=1)
+        rows = np.arange(len(V))[:, None]
+        order = _ORDERS[np.argmax(hits, axis=1)]  # the identity where no hits
+        lengths, angles = lengths[rows, order], angles[rows, order]
+    else:
+        count = np.zeros(len(V), dtype=np.intp)
+    residuals, ratios, vanishing = _laws(_LAWS[family], lengths, angles)
+    return lengths, angles, residuals, ratios, vanishing, clamp, count
 
 
 class LawBatch(NamedTuple):
@@ -216,23 +245,40 @@ def law_batch(vertices, tol: Tolerances = DEFAULT_TOL) -> LawBatch:
     own status, and no values.
     """
     V = np.asarray(vertices, dtype=float).reshape(-1, 3, 3)
-    with np.errstate(all="ignore"):  # rows that are not OK may compute anything
+    with np.errstate(all="ignore"):
         c = _classify_rows(V, tol)
-        family = c.law
-        hits = _vertex_hits(family, c.p)
-        count = hits.sum(axis=1)
-        angles, angle_clamp = _angles(V, family, c.p, c.n2, tol)
+    return _law_rows(V, c, tol)
 
-        rows = np.arange(len(V))[:, None]
-        order = _ORDERS[np.argmax(hits, axis=1)]  # the identity where no hits
-        sides, angles = c.lengths[rows, order], angles[rows, order]
-        residuals, ratios, vanishing = _laws(family, sides, angles)
+
+def _law_rows(V, c: _Rows, tol: Tolerances) -> LawBatch:
+    """law_batch of the rows V, whose classification c = _classify_rows(V, tol)
+    is already made.  A batch of one law family, which every batch of one row
+    and every sampled batch of a law family is, is measured as it is; other
+    batches are measured one law family at a time, and their rows without
+    laws are left NaN."""
+    family, n = c.law, len(V)
+    with np.errstate(all="ignore"):  # rows that are not OK may compute anything
+        if n and family.min() == family.max() >= 0:
+            parts = _measure(int(family[0]), V, c.p, c.n2, c.lengths, tol)
+        else:
+            parts = (np.full((n, 3), math.nan), np.full((n, 3), math.nan),
+                     np.full((n, 6), math.nan), np.full((n, 3), math.nan),
+                     np.zeros(n, dtype=bool), np.zeros(n, dtype=bool),
+                     np.zeros(n, dtype=np.intp))
+            for f in range(len(_FAMILIES)):
+                rows = np.flatnonzero(family == f)
+                if rows.size:
+                    part = _measure(f, V[rows], c.p[rows], c.n2[rows],
+                                    c.lengths[rows], tol)
+                    for whole, values in zip(parts, part):
+                        whole[rows] = values
+        sides, angles, residuals, ratios, vanishing, angle_clamp, count = parts
         max_residual = np.maximum(residuals.max(axis=1),
                                   np.abs(ratios - ratios.take(_NEXT, axis=1)).max(axis=1))
 
     choose = (family == _TEMPO) | (family == _SPATIO_C)
     failures = np.array([c.family < 0, c.degenerate, family < 0, choose & (count != 1),
-                         angle_clamp, vanishing, np.ones(len(V), dtype=bool)])
+                         angle_clamp, vanishing, np.ones(n, dtype=bool)])
     status = np.argmax(failures, axis=0)  # the first that holds, in status order
     return LawBatch(status, family, sides, angles, residuals[:, :3],
                     residuals[:, 3:], ratios, max_residual, count, c)

@@ -18,14 +18,20 @@ measures the row.  Here all three are held to the scalar path:
   differences of products of cosh values up to a few hundred, so one
   rounding there moves them by up to some 1e-14 (the largest measured was
   5.7e-14).
+
+The kernel is also held, bit for bit, to the family-coded kernel it
+replaced, and the classification the sampler hands to the kernel to what
+classifying the sampled rows again gives.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from minktrig.constants import DEFAULT_TOL
+from minktrig import cli, samplers, trig
+from minktrig.constants import DEFAULT_TOL, Tolerances
 from minktrig.errors import (
     DegenerateTriangle,
     MinkTrigError,
@@ -40,11 +46,15 @@ from minktrig.samplers import (
     FAMILIES,
     SampleSpec,
     _accept_rows,
+    _sample_classified,
     _sample_rows,
     sample_triangle,
 )
 from minktrig.surfaces import Component, SegmentKind, angle
 from minktrig.triangles import (
+    _J,
+    _K,
+    _NEXT,
     LawFamily,
     ProperKind,
     Triangle,
@@ -52,9 +62,33 @@ from minktrig.triangles import (
     TriangleFamily,
     _classify,
     _classify_rows,
+    _mink,
+    _Rows,
     classify_triangle,
 )
-from minktrig.trig import DEGENERATE, NO_LAWS, OK, law_batch, trig_report
+from minktrig.trig import (
+    _EJ,
+    _EK,
+    _HYP,
+    _LAWS,
+    _ORDERS,
+    _PRODUCT,
+    _SPATIO_C,
+    _SWAP,
+    _TEMPO,
+    _TS,
+    _TV,
+    _TW,
+    CLAMP,
+    DEGENERATE,
+    NO_LAWS,
+    NOT_UNIQUE,
+    OFF_SURFACE,
+    OK,
+    SINE,
+    law_batch,
+    trig_report,
+)
 
 LENGTH_TOL = 2e-15
 RESIDUAL_TOL = 2e-13
@@ -303,7 +337,7 @@ def test_block_acceptance_matches_scalar_accepts(family):
         assert accepts(family, t)
     # and candidate by candidate, rejections included
     V = _MAKERS[family](np.random.default_rng(48), spec, 2000)
-    mask = _accept_rows(spec, V, DEFAULT_TOL)
+    mask = _accept_rows(spec, _classify_rows(V, DEFAULT_TOL))
     for row, accepted in zip(V.tolist(), mask.tolist()):
         try:
             t = Triangle.from_vectors(*(MVec3(*v) for v in row))
@@ -410,3 +444,206 @@ def test_short_polar_sides_keep_the_type_mapping(row):
     assert short.kind is SegmentKind.DE_SITTER_TIMELIKE and 0 < short.length < 1e-5
     assert_classes_match(V, [t])
     assert_classes_match(rows_of([polar]), [polar])
+
+
+# -- the family-coded kernel, the reference for the per-family one ------------
+#
+# law_batch evaluates each law family with its _LAWS row as constants.  The
+# kernel it replaced ran every row through cos and cosh, sin and sinh, arccos
+# and arcosh, and the apex and anchor search, and kept each row's own with
+# np.where on its family code.  It is kept here as written: the two do the
+# same operations in the same order on every row they measure, so their
+# columns must agree bit for bit.
+
+def coded_vertex_hits(family, p):
+    positive = (p - p.take(_J, axis=1) * p.take(_K, axis=1)) > 0.0
+    family = family[:, None]
+    return np.where(family == _TEMPO, positive,
+                    positive.take(_J, axis=1) & positive.take(_K, axis=1)
+                    & (family == _SPATIO_C))
+
+
+def coded_angles(V, family, p, n2, tol):
+    sheet = (family == _HYP)[:, None]
+    X = V.transpose(2, 0, 1)
+    At, ps = X.take(_TV, axis=2), p.take(_TS, axis=1)
+    coef = np.where(sheet, -ps, ps)
+    norm = np.sqrt(np.abs(n2.take(_TS, axis=1)))
+    T = (X.take(_TW, axis=2) - coef * At) / norm
+    prod = _mink(T[:, :, 0::2], T[:, :, 1::2])
+    size = np.abs(prod)
+    angles = np.where(sheet, np.arccos(np.minimum(np.maximum(prod, -1.0), 1.0)),
+                      np.arccosh(np.maximum(size, 1.0)))
+    beyond = np.where(sheet, size - 1.0, 1.0 - size) > tol.eps_clamp
+    return angles, beyond.any(axis=1)
+
+
+GROUP = np.array([0, 0, 0, 1, 1, 1])  # the hyperbolic column of each value
+
+
+def coded_laws(family, sides, angles):
+    law = _LAWS.take(family, axis=0)
+    values = np.concatenate((sides, angles), axis=1)
+    hyperbolic = law.take(GROUP, axis=1) > 0.0
+    c = np.where(hyperbolic, np.cosh(values), np.cos(values))
+    s = np.where(hyperbolic, np.sinh(values), np.sin(values))
+    cj, ck = c.take(_EJ, axis=1), c.take(_EK, axis=1)
+    sj, sk = s.take(_EJ, axis=1), s.take(_EK, axis=1)
+    residuals = np.abs(c - (law.take(_PRODUCT, axis=1) * cj * ck
+                            + law[:, 4:] * c.take(_SWAP, axis=1) * sj * sk))
+    vanishing = (np.abs(s[:, :3]) < 1e-300).any(axis=1)
+    return residuals, s[:, 3:] / s[:, :3], vanishing
+
+
+def coded_law_batch(vertices, tol):
+    """The columns of law_batch, by the family-coded kernel."""
+    V = np.asarray(vertices, dtype=float).reshape(-1, 3, 3)
+    with np.errstate(all="ignore"):
+        c = _classify_rows(V, tol)
+        family = c.law
+        hits = coded_vertex_hits(family, c.p)
+        count = hits.sum(axis=1)
+        angles, angle_clamp = coded_angles(V, family, c.p, c.n2, tol)
+        rows = np.arange(len(V))[:, None]
+        order = _ORDERS[np.argmax(hits, axis=1)]
+        sides, angles = c.lengths[rows, order], angles[rows, order]
+        residuals, ratios, vanishing = coded_laws(family, sides, angles)
+        max_residual = np.maximum(residuals.max(axis=1),
+                                  np.abs(ratios - ratios.take(_NEXT, axis=1)).max(axis=1))
+    choose = (family == _TEMPO) | (family == _SPATIO_C)
+    failures = np.array([c.family < 0, c.degenerate, family < 0, choose & (count != 1),
+                         angle_clamp, vanishing, np.ones(len(V), dtype=bool)])
+    return dict(status=np.argmax(failures, axis=0), family=family, sides=sides,
+                angles=angles, lcs=residuals[:, :3], lca=residuals[:, 3:],
+                ratios=ratios, max_residual=max_residual, hits=count)
+
+
+def assert_kernel_matches_coded(V, tol=DEFAULT_TOL):
+    """law_batch's statuses, families and hit counts on every row, and its
+    float columns bit for bit on the OK rows, against the coded kernel."""
+    batch, coded = law_batch(V, tol), coded_law_batch(V, tol)
+    for name in ("status", "family", "hits"):
+        assert getattr(batch, name).tolist() == coded[name].tolist(), name
+    ok = coded["status"] == OK
+    for name in ("sides", "angles", "lcs", "lca", "ratios", "max_residual"):
+        got, want = getattr(batch, name)[ok], coded[name][ok]
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    return batch.status
+
+
+def _tempolateral_row(t1, t2):
+    """e2 and points at t1 and t2 on timelike geodesics from it, one in each
+    time direction."""
+    sh1, sh2 = math.sinh(t1), math.sinh(t2)
+    return [(0.0, 1.0, 0.0),
+            (sh1 * math.cosh(0.3), math.cosh(t1), sh1 * math.sinh(0.3)),
+            (-sh2 * math.cosh(0.5), math.cosh(t2), sh2 * math.sinh(0.5))]
+
+
+# With no degeneracy band and no clamp band, near-degenerate rows are measured
+# and reach the statuses sampled rows never do.
+NO_BANDS = Tolerances(eps_clamp=0.0, eps_degen=0.0)
+STATUS_ROWS = {
+    OFF_SURFACE: [NAN_ROW, INF_ROW, SCALED],
+    DEGENERATE: [DEGENERATE_ROW],
+    NO_LAWS: [CHRONO, CHORO],
+    # a tempolateral triangle with sides of 1e-9, where every r_i rounds to 0
+    NOT_UNIQUE: [_tempolateral_row(1e-9, 2e-9)],
+    # a third vertex moved to within 1e-8 of the plane of the other two
+    CLAMP: [
+        [(0.5364299499421133, 0.9803773932196014, -0.571504381486999),
+         (3.974176091300326, 4.090255874454859, 0.2527498489626751),
+         (-0.530851921498563, 0.2157374936474617, -1.1114230051575447)],
+        [(-0.2525797475384865, -0.5830998573693781, 0.850759122902844),
+         (0.19433823269410178, -0.906138796841387, -0.46548880711088064),
+         (0.2662963216470821, -0.7571091180083228, -0.7054782167802388)],
+        [(1.3094692835509465, 0.687692690580275, -0.49172000964562246),
+         (2.2005460304408304, -1.443676915346868, -1.325971265217858),
+         (1.166821288688919, -0.14423779605166548, -0.5836671807869861)],
+        [(0.15654938269302648, 0.7938489355449433, -0.6279423355338675),
+         (-0.30800569511004644, 0.05239089656612586, 1.0450467464076525),
+         (0.10796746510374865, -0.9732924920044062, -0.2536901624596077)],
+    ],
+    # a hyperbolic side of 1e-9, whose length rounds to 0
+    SINE: [[(1.0, 0.0, 0.0), (math.cosh(1e-9), math.sinh(1e-9), 0.0),
+            (math.cosh(1.0), 0.0, math.sinh(1.0))]],
+    OK: [HYP, _tempolateral_row(0.5, 0.7)],
+}
+
+
+def status_batch(count, seed):
+    """A mixed batch of count rows holding every status under NO_BANDS."""
+    special = [row for rows in STATUS_ROWS.values() for row in rows]
+    sampled = _sample_rows(SampleSpec(family="mixed", count=count - len(special),
+                                      seed=seed))
+    V = np.concatenate((np.array(special, dtype=float), sampled))
+    return V[np.random.default_rng(seed).permutation(count)]
+
+
+@pytest.mark.parametrize("seed", [52, 53])
+def test_mixed_batches_match_the_coded_kernel(seed):
+    V = status_batch(1000, seed)
+    assert set(assert_kernel_matches_coded(V, NO_BANDS).tolist()) == set(range(OK + 1))
+    assert_kernel_matches_coded(V)
+    for i in range(0, 40, 2):
+        assert_kernel_matches_coded(V[i:i + 2], NO_BANDS)
+    assert assert_kernel_matches_coded(V[:0], NO_BANDS).shape == (0,)
+    assert law_batch([]).status.shape == (0,)
+
+
+@pytest.mark.parametrize("status", sorted(STATUS_ROWS))
+def test_single_rows_match_the_coded_kernel(status):
+    for row in STATUS_ROWS[status]:
+        assert assert_kernel_matches_coded(np.array([row]), NO_BANDS).tolist() == [status]
+        assert_kernel_matches_coded(np.array([row]))
+
+
+@pytest.mark.parametrize("family", LAW_SAMPLES)
+@pytest.mark.parametrize("count", [1, 2, 1000])
+def test_sampled_batches_match_the_coded_kernel(family, count):
+    V = _sample_rows(SampleSpec(family=family, count=count, seed=54))
+    assert (assert_kernel_matches_coded(V) == OK).all()
+
+
+# -- the classification handed from the sampler to the kernel -----------------
+
+@pytest.mark.parametrize("family", LAW_SAMPLES)
+@pytest.mark.parametrize("count, seed", [(1, 0), (1, 5), (7, 1), (7, 3), (1000, 0),
+                                         (1000, 8)])
+def test_handed_classification_equals_classifying_the_rows(family, count, seed):
+    # spatiolateral_contractible takes two blocks at (1, 5), (7, 1) and
+    # (1000, 0), and three at (7, 3) and (1000, 8)
+    spec = SampleSpec(family=family, count=count, seed=seed)
+    V, classes = _sample_classified(spec)
+    assert np.array_equal(V, _sample_rows(spec))
+    again = _classify_rows(V, DEFAULT_TOL)
+    for name, got, want in zip(_Rows._fields, classes, again):
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("family", LAW_SAMPLES)
+@pytest.mark.parametrize("count, seed", [(7, 1), (1000, 0), (1000, 8)])
+def test_verify_sample_classifies_each_block_once(monkeypatch, capsys, family,
+                                                   count, seed):
+    blocks, classified = [], []
+    draw, classify = samplers._MAKERS[family], samplers._classify_rows
+
+    def drawn(rng, spec, size):
+        blocks.append(size)
+        return draw(rng, spec, size)
+
+    def counted(V, tol):
+        classified.append(len(V))
+        return classify(V, tol)
+
+    monkeypatch.setitem(samplers._MAKERS, family, drawn)
+    for module in (samplers, trig):
+        monkeypatch.setattr(module, "_classify_rows", counted)
+    argv = ["verify", "--sample", family, "--count", str(count), "--seed", str(seed)]
+    assert cli.main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["reports"]) == count
+    assert classified == blocks
+    if family == "spatiolateral_contractible" and count == 1000:
+        assert len(blocks) == 2 + (seed == 8)

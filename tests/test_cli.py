@@ -471,24 +471,38 @@ class TestVerifyWriter:
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("bound", [1e-9, 0.0, math.inf])
     def test_hand_built_batch_matches_the_reference(self, capsys, reverse, bound):
-        inf, nan = math.inf, math.nan
-        columns = dict(
-            status=[trig.OK] * 3,
-            family=[0, 1, 3],  # hyperbolic, spatiolateral non-contractible, tempolateral
-            sides=[[1.0, 2.0, 0.5], [1.0, 2.0, inf], [0.3, 0.2, 0.1]],
-            angles=[[-0.0, -0.0, -0.0], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]],
-            lcs=[[inf, 1e-16, 0.0], [nan, 2e-16, 1e-16], [0.0, 0.0, 3e-300]],
-            lca=[[-inf, 1e-16, nan], [1e-16, 1e-16, 5e-17], [0.0, 2e-16, 0.0]],
-            ratios=[[-0.0, 0.0, 1.5], [0.0, -0.0, inf], [-inf, nan, 0.1]],
-            max_residual=[inf, nan, 2e-16],
-            hits=[0, 0, 1],
-        )
-        batch = trig.LawBatch(
-            **{k: np.array(v[::-1] if reverse else v) for k, v in columns.items()},
-            classes=None)
+        batch = hand_built_batch([2, 1, 0] if reverse else [0, 1, 2])
         expected, failures = reference_reports(batch, bound)
         assert cli._write_reports(batch, bound) == failures
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 4, 5, 9, 40])
+    def test_either_residual_path_matches_the_reference(self, capsys, rows):
+        # below cli._UNIQUE_ROWS rows each residual is formatted on its own;
+        # from there np.unique finds the distinct ones first
+        batch = hand_built_batch(np.arange(rows) % 3)
+        expected, failures = reference_reports(batch, 1e-9)
+        assert cli._write_reports(batch, 1e-9) == failures
+        assert capsys.readouterr().out == expected
+
+
+def hand_built_batch(order):
+    """Three rows holding non-finite values, -0.0 and the three families with
+    a sum, in the given order (repeats allowed)."""
+    inf, nan = math.inf, math.nan
+    columns = dict(
+        status=[trig.OK] * 3,
+        family=[0, 1, 3],  # hyperbolic, spatiolateral non-contractible, tempolateral
+        sides=[[1.0, 2.0, 0.5], [1.0, 2.0, inf], [0.3, 0.2, 0.1]],
+        angles=[[-0.0, -0.0, -0.0], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3]],
+        lcs=[[inf, 1e-16, 0.0], [nan, 2e-16, 1e-16], [0.0, 0.0, 3e-300]],
+        lca=[[-inf, 1e-16, nan], [1e-16, 1e-16, 5e-17], [0.0, 2e-16, 0.0]],
+        ratios=[[-0.0, 0.0, 1.5], [0.0, -0.0, inf], [-inf, nan, 0.1]],
+        max_residual=[inf, nan, 2e-16],
+        hits=[0, 0, 1],
+    )
+    return trig.LawBatch(**{k: np.array(v)[np.asarray(order, dtype=int)]
+                            for k, v in columns.items()}, classes=None)
 
 
 class TestClassifyOnce:

@@ -2,10 +2,13 @@
 change that breaks them fails here."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
 import pytest
+
+from minktrig import cli
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -21,8 +24,12 @@ verify_laws = load("verify_laws")
 
 
 @pytest.mark.parametrize("family", verify_laws.LAW_FAMILIES)
-def test_verify_laws_summarizes_each_law_family(family):
+def test_verify_laws_summarizes_each_law_family(family, capsys):
     stats = verify_laws.summarize(family, 50, 3)
+    # the figures are the ones the CLI reports
+    assert cli.main(["verify", "--sample", family, "--count", "50", "--seed", "3"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert stats["max_residual"] == summary["max_residual"]
     assert 0.0 <= stats["mean_residual"] <= stats["max_residual"] < 1e-9
     if family.endswith("hyperbolic"):
         assert stats["max_angle_sum_minus_pi"] < 0.0

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from minktrig.constants import DEFAULT_TOL
 from minktrig.errors import (
     AntipodalPoints,
     ClampError,
@@ -37,6 +39,7 @@ from minktrig.surfaces import (
     surface_point,
     tangent_vector,
 )
+from minktrig.triangles import _classify_rows
 
 from conftest import SQRT2, SQRT3, vec
 
@@ -186,19 +189,32 @@ class TestSegmentKind:
         assert segment_kind(sp(1, 0, 0), sp(math.cosh(1), math.sinh(1), 0)) \
             is SegmentKind.HYPERBOLIC
 
-    @pytest.mark.parametrize("d", [1e-4, 1e-6])
+    @pytest.mark.parametrize("d", [1e-4, 1e-6, 1e-9, 1e-12])
     def test_short_sides_keep_their_kind(self, d):
         # the light band scales with |a x b|^2, so shortness alone does not
-        # make a side lightlike
+        # make a side lightlike; below about 1e-8, where p rounds to 1, the
+        # sign of n2 tells timelike from spacelike.  The sides leave e2 along
+        # unit tangents tilted by rapidity 3 in the x1-x3 plane, so that the
+        # ends of a side of 1e-12 are more than the point tolerance apart.
         a = sp(0, 1, 0)
-        timelike = sp(math.sinh(d), math.cosh(d), 0)
-        spacelike = sp(0, math.cos(d), math.sin(d))
+        tilt = 3.0
+        timelike = sp(math.sinh(d) * math.cosh(tilt), math.cosh(d),
+                      math.sinh(d) * math.sinh(tilt))
+        spacelike = sp(math.sin(d) * math.sinh(tilt), math.cos(d),
+                       math.sin(d) * math.cosh(tilt))
         lightlike = surface_point(a.coords + d * vec(1, 0, 1))
-        assert segment_kind(a, timelike) is SegmentKind.DE_SITTER_TIMELIKE
-        assert segment_kind(a, spacelike) is SegmentKind.DE_SITTER_SPACELIKE
-        # arccos near 1 keeps about half the digits
-        assert distance(a, spacelike) == pytest.approx(d, rel=1e-3)
-        assert segment_kind(a, lightlike) is SegmentKind.DE_SITTER_LIGHTLIKE
+        kinds = {timelike: SegmentKind.DE_SITTER_TIMELIKE,
+                 spacelike: SegmentKind.DE_SITTER_SPACELIKE,
+                 lightlike: SegmentKind.DE_SITTER_LIGHTLIKE}
+        for b, kind in kinds.items():
+            assert segment_kind(a, b) is kind
+            # the array rule, on side c of the row (a, b, -e3)
+            row = np.array([[a.coords.as_tuple(), b.coords.as_tuple(), (0, 0, -1)]])
+            side_c = _classify_rows(row, DEFAULT_TOL).kinds[0, 2]
+            assert list(SegmentKind)[side_c] is kind
+        if d >= 1e-6:
+            # arccos near 1 keeps about half the digits
+            assert distance(a, spacelike) == pytest.approx(d, rel=1e-3)
 
 
 class TestTangentVector:
