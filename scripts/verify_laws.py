@@ -23,7 +23,8 @@ LAW_FAMILIES = _LAW_SAMPLES
 
 def summarize(family: str, count: int, seed: int) -> dict:
     spec = SampleSpec(family=family, count=count, seed=seed)
-    batch = _law_rows(*_sample_classified(spec), DEFAULT_TOL)
+    _, classes = _sample_classified(spec)
+    batch = _law_rows(classes, DEFAULT_TOL)
     batch.raise_first()
     residuals = batch.max_residual
     out = {"max_residual": float(residuals.max()),

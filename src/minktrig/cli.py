@@ -183,25 +183,33 @@ def _verify_batch(args) -> LawBatch:
             return law_batch(_sample_rows(spec))
         if spec.family not in _LAW_SAMPLES:
             raise UnsupportedFamily(f"no trig laws for {spec.family} triangles")
-        return _law_rows(*_sample_classified(spec), DEFAULT_TOL)
+        _, classes = _sample_classified(spec)
+        return _law_rows(classes, DEFAULT_TOL)
     data = _load_json(args)
     _check_fields(data, {"vertices"}, args.strict)
     t = _parse_triangle(data)
     return law_batch([[v.coords.as_tuple() for v in t.vertices()]])
 
 
-# One verify report and the verify payload, in the key order and with the
-# separators json.dumps writes.
+# One verify report and the verify payload's head and tail, in the key order
+# and with the separators json.dumps writes.
 _REPORT = ('{"family": "%s", "lcs_residuals": [%s, %s, %s], '
            '"lca_residuals": [%s, %s, %s], "sines_ratios": [%s, %s, %s], '
            '"angle_sum": %s, "side_sum": %s, "max_residual": %s, '
            '"within_tolerance": %s}')
-_REPORTS = ('{"schema": "%s", "reports": [%s], "summary": {"count": %d, '
-            '"max_residual": %s, "failures": %d, "tolerance": %s}}\n')
+_HEAD = '{"schema": "%s", "reports": [' % SCHEMA
+_TAIL = ('], "summary": {"count": %d, "max_residual": %s, "failures": %d, '
+         '"tolerance": %s}}\n')
 _BOOL = ("false", "true")
 _LAW_NAMES = tuple(f.value for f in LawFamily)
+# _REPORT of each law family, with its name filled in and null for the sums
+# it has not.
+_FAMILY_REPORTS = tuple(
+    _REPORT % (name, *["%s"] * 9, "%s" if f == _HYP else "null",
+               "%s" if f in (_SPATIO_NC, _SPATIO_C) else "null", "%s", "%s")
+    for f, name in enumerate(_LAW_NAMES))
 # Rows from which np.unique formats a batch's residuals faster than _number
-# on each one.
+# on each one, and a batch of one law family is written from its own report.
 _UNIQUE_ROWS = 4
 
 
@@ -224,10 +232,11 @@ def _floats(x) -> list:
 
 
 def _sums(x, applies) -> list:
-    """The %s arguments of a column of sums, null where applies is False."""
+    """The %s arguments of the sums of the rows of x, shape (N, 3), null
+    where applies is False."""
     if not applies.any():
         return ["null"] * len(x)
-    (values,) = _floats(x[None])
+    (values,) = _floats((x[:, 0] + x[:, 1] + x[:, 2])[None])
     if applies.all():
         return values
     return [v if a else "null" for v, a in zip(values, applies.tolist())]
@@ -237,35 +246,46 @@ def _write_reports(batch: LawBatch, bound: float) -> int:
     """Write the verify payload of the batch's rows, byte for byte what _emit
     writes for it, and return the number of rows beyond the bound.
 
-    The text is read straight off the batch's columns, one _REPORT per row.
+    The text is read straight off the batch's columns, one report per row.
     The residuals are small multiples of an ulp, so a batch holds few
     distinct ones: one np.unique over the seven residual columns finds them,
     and each is formatted once.  np.unique takes 0.0 and -0.0 for one value,
     so this relies on the residuals being absolute values, which never hold
-    -0.0.  Family names and within-tolerance flags are read from tables.
+    -0.0.  A batch of one law family, as every sampled one is, fills in its
+    family's report; the rows of other batches fill in _REPORT, with family
+    names and sums read from tables.
     """
     n = len(batch.status)
     family, worst = batch.family, batch.max_residual
-    angles, sides = batch.angles, batch.sides
     stacked = np.concatenate((batch.lcs.T, batch.lca.T, worst[None]))
     if n < _UNIQUE_ROWS:
         residuals = [list(map(_number, column)) for column in stacked.tolist()]
     else:
         unique, inverse = np.unique(stacked, return_inverse=True)
-        residuals = np.array(list(map(_number, unique.tolist())),
-                             dtype=object)[inverse.reshape(7, n)].tolist()
+        text = map(float.__repr__ if np.isfinite(unique).all() else _number,
+                   unique.tolist())
+        residuals = np.array(list(text), dtype=object)[inverse.reshape(7, n)].tolist()
+    ratios = _floats(batch.ratios.T)
+    hyperbolic = family == _HYP
+    spatiolateral = (family == _SPATIO_NC) | (family == _SPATIO_C)
+    angle_sums = _sums(batch.angles, hyperbolic)
+    side_sums = _sums(batch.sides, spatiolateral)
     within = (worst <= bound).tolist()
-    columns = zip(
-        map(_LAW_NAMES.__getitem__, family.tolist()), *residuals[:6],
-        *_floats(batch.ratios.T),
-        _sums(angles[:, 0] + angles[:, 1] + angles[:, 2], family == _HYP),
-        _sums(sides[:, 0] + sides[:, 1] + sides[:, 2],
-              (family == _SPATIO_NC) | (family == _SPATIO_C)),
-        residuals[6], map(_BOOL.__getitem__, within))
+    flags = map(_BOOL.__getitem__, within)
+    if n >= _UNIQUE_ROWS and family.min() == family.max():
+        report = _FAMILY_REPORTS[family[0]]
+        sums = [angle_sums] if hyperbolic[0] else [side_sums] if spatiolateral[0] else []
+        columns = zip(*residuals[:6], *ratios, *sums, residuals[6], flags)
+    else:
+        report = _REPORT
+        columns = zip(map(_LAW_NAMES.__getitem__, family.tolist()), *residuals[:6],
+                      *ratios, angle_sums, side_sums, residuals[6], flags)
     failures = within.count(False)
-    sys.stdout.write(_REPORTS % (
-        SCHEMA, ", ".join(map(_REPORT.__mod__, columns)), n,
-        _number(max(worst.tolist(), default=0.0)), failures, _number(bound)))
+    write = sys.stdout.write
+    write(_HEAD)
+    write(", ".join(map(report.__mod__, columns)))
+    largest = max(worst.tolist(), default=0.0)
+    write(_TAIL % (n, _number(largest), failures, _number(bound)))
     return failures
 
 

@@ -1,13 +1,13 @@
 """Seeded random generation of points, segments, and triangles by family.
 
-Every family is sampled the same way, by ``_sample_classified``: candidate
-rows are drawn in blocks, each sized from the rows still needed, classified
-once by the array classifier ``triangles._classify_rows`` and accepted on
-that classification (``_accept_rows``).  The accepted rows and their share of
-the classification are the input of the law kernel (``trig._law_rows``), so
-``verify --sample`` classifies each row once.  ``_sample_rows`` keeps the
-rows alone, and ``sample_triangle`` wraps them into triangles.  A ``mixed``
-batch interleaves one such batch per family.
+Every family is sampled the same way, by ``_blocks``: candidate rows are
+drawn in blocks, each sized from the rows still needed, classified once by
+the array classifier ``triangles._classify_rows`` and accepted on that
+classification (``_accept_rows``).  ``_sample_classified`` keeps the
+accepted rows' share of the classification, the input of the law kernel
+(``trig._law_rows``), so ``verify --sample`` classifies each row once.
+``_sample_rows`` keeps the rows alone, and ``sample_triangle`` wraps them
+into triangles.  A ``mixed`` batch interleaves one such batch per family.
 
 Candidate points come from two parametrisations, (sinh v, cosh v cos t,
 cosh v sin t) on the de Sitter surface and (cosh u, sinh u cos t, sinh u sin t)
@@ -330,31 +330,44 @@ def _sample_rows(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
     are one batch, from a seed of its own drawn from spec.seed.
     """
     if spec.family != "mixed":
-        return _sample_classified(spec, tol)[0]
+        return np.concatenate([V[keep] for V, _, keep in _blocks(spec, tol)])
     pool = FAMILIES[:-1]
     seeds = np.random.default_rng(spec.seed).integers(0, 2**32, len(pool))
     V = np.empty((spec.count, 3, 3))
     for j, family in enumerate(pool):
         count = len(V[j::len(pool)])
         if count:
-            V[j::len(pool)] = _sample_classified(replace(
-                spec, family=family, count=count, seed=int(seeds[j])), tol)[0]
+            V[j::len(pool)] = _sample_rows(replace(
+                spec, family=family, count=count, seed=int(seeds[j])), tol)
     return V
 
 
 def _sample_classified(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
     """The rows of a batch of spec.family, a single family, and their
-    classification, equal to _classify_rows of the rows.
+    classification, equal to _classify_rows of the rows: each block's
+    accepted rows keep their slice of its classification, which is what
+    classifying them again would give, since _classify_rows works row by
+    row.  The rows are the classification's own vertices."""
+    blocks = [[np.take(x.T, keep, axis=-1) for x in c]
+              for _, c, keep in _blocks(spec, tol)]
+    if len(blocks) > 1:
+        blocks = [[np.concatenate(x, axis=-1) for x in zip(*blocks)]]
+    c = _Rows(*(x.T for x in blocks[0]))
+    return c.vertices, c
+
+
+def _blocks(spec: SampleSpec, tol: Tolerances):
+    """The candidate blocks of a batch of spec.family, a single family: each
+    block's rows, their classification and the indices of its accepted rows.
 
     Candidates are drawn in blocks, each sized from the rows still needed and
-    the share accepted so far, up to _MAX_BLOCK rows, and classified once:
-    _accept_rows reads the block's classification, and the accepted rows keep
-    their slice of it, which is what classifying them again would give, since
-    _classify_rows works row by row.  spec.rejection_budget counts candidates.
+    the share accepted so far, up to _MAX_BLOCK rows, and classified once;
+    _accept_rows reads the classification.  spec.rejection_budget counts
+    candidates.
     """
     rng = np.random.default_rng(spec.seed)
     draw = _MAKERS[spec.family]
-    blocks, accepted, attempts = [], 0, 0
+    accepted, attempts = 0, 0
     while accepted < spec.count:
         need = spec.count - accepted
         rate = max(accepted, 1) / attempts if attempts else 1.0
@@ -366,13 +379,8 @@ def _sample_classified(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
         attempts += size
         c = _classify_rows(V, tol)
         keep = np.flatnonzero(_accept_rows(spec, c))[:need]
-        blocks.append((V[keep], [x[keep] for x in c]))
         accepted += len(keep)
-    if len(blocks) == 1:
-        V, c = blocks[0]
-        return V, _Rows(*c)
-    return (np.concatenate([V for V, _ in blocks]),
-            _Rows(*map(np.concatenate, zip(*(c for _, c in blocks)))))
+        yield V, c, keep
 
 
 def sample_segment(

@@ -16,6 +16,13 @@ it.  Rows need not be triangles: a vertex off the quadric is flagged, and
 equal vertices make a degenerate row.  The scalar ``_classify`` stays for
 single triangles, where it is the faster of the two, and is the array
 rule's reference in the tests.
+
+The array rules lay a batch out rows last.  The rows are copied once into X,
+of shape (coordinate, vertex, row), so that X[0], X[1] and X[2] are the x1,
+x2 and x3 arrays of a stack of vectors, and each value per side or per vertex
+is a (side or vertex, row) array: its rows are contiguous, and a reduction
+over its three sides is elementwise.  The classification's (N, 3) and (N,)
+fields are transposed views of these arrays.
 """
 
 from __future__ import annotations
@@ -276,22 +283,25 @@ _LAW_CODES = np.array([_LAW_NAMES.index(k.value) if k.value in _LAW_NAMES else -
                        for k in ProperKind] + [-1])
 
 
-# The array rules hold coordinates on the first axis, so that x[0], x[1] and
-# x[2] are the x1, x2 and x3 arrays of a stack of vectors x.
-
 def _mink(x, y):
     """<<x, y>>, in the order of mink.minkowski_product."""
     return x[1] * y[1] - x[0] * y[0] + x[2] * y[2]
 
 
 def _dot(x, y):
-    """x . y, in the order of mink.euclid_dot."""
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+    """x . y, in the order of mink.euclid_dot, summed in place to hold one
+    temporary fewer."""
+    d = x[0] * y[0]
+    d += x[1] * y[1]
+    d += x[2] * y[2]
+    return d
 
 
 class _Rows(NamedTuple):
     """_classify of N triangles as code arrays, one row each.  The codes of a
-    row off the quadric mean nothing beyond its family code, -1."""
+    row off the quadric mean nothing beyond its family code, -1.  Each field
+    is the transposed view of a C-contiguous array with rows on its last
+    axis, such as the (3, N) array of a per-side value."""
 
     components: np.ndarray  # (N, 3) Component codes of A, B, C
     kinds: np.ndarray  # (N, 3) SegmentKind codes of sides a, b, c
@@ -307,6 +317,7 @@ class _Rows(NamedTuple):
     family: np.ndarray  # (N,) TriangleFamily codes, -1 off the quadric
     proper_kind: np.ndarray  # (N,) ProperKind codes
     law: np.ndarray  # (N,) LawFamily codes
+    vertices: np.ndarray  # (N, 3, 3) the rows themselves, a view of X
 
 
 def _classify_rows(V, tol: Tolerances) -> _Rows:
@@ -315,21 +326,21 @@ def _classify_rows(V, tol: Tolerances) -> _Rows:
     |q + 1| exactly), the side rule of surfaces._side, the det band of
     _geometry, _KIND_TABLE, and contractibility by _winding_number, or by the
     side sum on degenerate rows."""
-    X = V.transpose(2, 0, 1)  # coordinate, row, vertex
+    X = np.ascontiguousarray(V.T)  # coordinate, vertex, row
     q = _mink(X, X)
     comp = np.where(np.abs(np.abs(q) - 1.0) <= tol.eps_surf,
                     np.where(q > 0.0, _DE_SITTER, X[0] <= 0.0), -1)
-    P, Q = X.take(_J, axis=2), X.take(_K, axis=2)  # the ends of sides a, b, c
+    P, Q = X.take(_J, axis=1), X.take(_K, axis=1)  # the ends of sides a, b, c
     n = (P.take(_NEXT, axis=0) * Q.take(_AFTER, axis=0)
          - P.take(_AFTER, axis=0) * Q.take(_NEXT, axis=0))  # P x Q
     p, n2 = _mink(P, Q), _mink(n, n)
     # |P - Q|^2, |P + Q|^2, |n|^2 and |V|^2 in one pass
     E = np.concatenate((P - Q, P + Q, n, X), axis=1)
-    e2 = _dot(E, E).reshape(4, -1, 3)
+    e2 = _dot(E, E).reshape(4, 3, -1)
     equal, opposite, _, norms = np.sqrt(e2)
     equal, opposite = equal <= _POINT_EQ_TOL, opposite <= _POINT_EQ_TOL
     lightlike = (np.abs(n2) <= tol.eps_light * e2[2]) & ~(equal | opposite)
-    cp, cq = comp.take(_J, axis=1), comp.take(_K, axis=1)
+    cp, cq = comp.take(_J, axis=0), comp.take(_K, axis=0)
     kinds = np.where(
         equal, _POINT, np.where(
             opposite | (cp != cq) | (cp < 0), _EMPTY, np.where(
@@ -344,27 +355,27 @@ def _classify_rows(V, tol: Tolerances) -> _Rows:
             kinds >= _LIGHTLIKE, 0.0,  # lightlike and point sides
             np.arccosh(np.maximum(np.abs(p), 1.0)))))
 
-    det = _dot(n[:, :, 2], X[:, :, 2])  # (A x B) . C
-    scale = norms[:, 0] * norms[:, 1] * norms[:, 2]
+    det = _dot(n[:, 2], X[:, 2])  # (A x B) . C
+    scale = norms[0] * norms[1] * norms[2]
     degenerate = np.abs(det) <= tol.eps_degen * scale
 
-    family = _FAMILY_CODES[comp[:, 0], comp[:, 1], comp[:, 2]]
-    proper = _KIND_CODES[kinds[:, 0], kinds[:, 1], kinds[:, 2]]
+    family = _FAMILY_CODES[comp[0], comp[1], comp[2]]
+    proper = _KIND_CODES[kinds[0], kinds[1], kinds[2]]
     spatiolateral = proper == _SPATIO_NC
-    contractible = np.full(len(V), -1)
+    contractible = np.full(len(det), -1)
     if spatiolateral.any():  # the winding number, only where it is read
         u = X[1:]  # the x2-x3 projection of A -> B -> C -> A
-        w = u.take(_NEXT, axis=2)
-        sweep = np.arctan2(u[0] * w[1] - u[1] * w[0],
-                           u[0] * w[0] + u[1] * w[1]).sum(axis=1)
+        w = u.take(_NEXT, axis=1)
+        turn = np.arctan2(u[0] * w[1] - u[1] * w[0], u[0] * w[0] + u[1] * w[1])
         # |turns| <= 0.5 is round(turns) == 0, as halves round to even
-        zero = np.where(degenerate, lengths.sum(axis=1) < 2.0 * math.pi,
+        sweep, sides = turn[0] + turn[1] + turn[2], lengths[0] + lengths[1] + lengths[2]
+        zero = np.where(degenerate, sides < 2.0 * math.pi,
                         np.abs(sweep / (2.0 * math.pi)) <= 0.5)
         contractible = np.where(spatiolateral, zero, -1)
         proper = np.where(spatiolateral & zero, _SPATIO_C, proper)
     law = np.where((family >= 0) & (family < _PROPER), 0, _LAW_CODES[proper])
-    return _Rows(comp, kinds, lengths, lightlike, opposite, p, n2, det, scale,
-                 degenerate, contractible, family, proper, law)
+    return _Rows(comp.T, kinds.T, lengths.T, lightlike.T, opposite.T, p.T, n2.T, det,
+                 scale, degenerate, contractible, family, proper, law, X.T)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,16 @@ table, and evaluated as residuals, never solved.
 All of it runs as one array kernel, ``law_batch``, over vertex rows of shape
 (N, 3, 3); ``trig_report`` is its N = 1 view.  The kernel reads each row's
 law family, side lengths and products p = <<V, W>> and n2 = <<V x W, V x W>>
-off the classification ``triangles._classify_rows`` makes of its rows.
+off the classification ``triangles._classify_rows`` makes of its rows, and
+the rows themselves off the classification's copy of them.
 ``law_batch`` classifies the rows itself; ``verify --sample`` hands
 ``_law_rows`` the classification the sampler already made to accept the
 rows, so each sampled row is classified once.
+
+The kernel keeps the classifier's layout, rows last: the vertices are a
+(coordinate, vertex, row) array, and each side, angle, residual and ratio is
+a (side, vertex or equation, row) array, reduced over its rows elementwise.
+``LawBatch`` holds their transposed views, of shape (N, 3) and (N,).
 
 Each law family present is evaluated on its own rows with its ``_LAWS`` row
 as constants: one cos/sin or cosh/sinh pair for the sides and one for the
@@ -110,29 +116,33 @@ _PRODUCT = np.array([2, 2, 2, 3, 3, 3])  # the product sign column of each equat
 def _vertex_hits(family: int, p):
     """Per vertex of rows of one law family, whether it is the tempolateral
     apex (r_i > 0) or the contractible anchor (r_j > 0 and r_k > 0)."""
-    positive = (p - p.take(_J, axis=1) * p.take(_K, axis=1)) > 0.0
+    positive = (p - p.take(_J, axis=0) * p.take(_K, axis=0)) > 0.0
     if family == _TEMPO:
         return positive
-    return positive.take(_J, axis=1) & positive.take(_K, axis=1)
+    return positive.take(_J, axis=0) & positive.take(_K, axis=0)
 
 
-def _angles(V, sheet: bool, p, n2, tol: Tolerances):
+def _angles(X, sheet: bool, p, n2, tol: Tolerances):
     """Angles at A, B, C, each read off the Minkowski product of the unit
     tangents toward the other two vertices, and each row's clamp verdict, for
     rows on a hyperboloid sheet or rows on the de Sitter surface.  The sides
     of a law family are never lightlike, so every tangent is normalised by
     sqrt|n2|."""
-    X = V.transpose(2, 0, 1)  # coordinate, row, vertex
-    At, ps = X.take(_TV, axis=2), p.take(_TS, axis=1)
+    At, ps = X.take(_TV, axis=1), p.take(_TS, axis=0)
     coef = -ps if sheet else ps  # on a sheet B + pA, else B - pA
-    norm = np.sqrt(np.abs(n2.take(_TS, axis=1)))
-    T = (X.take(_TW, axis=2) - coef * At) / norm
-    prod = _mink(T[:, :, 0::2], T[:, :, 1::2])
+    norm = np.sqrt(np.abs(n2.take(_TS, axis=0)))
+    T = X.take(_TW, axis=1)  # (B - coef A) / norm, in place
+    T -= coef * At
+    T /= norm
+    prod = _mink(T[:, 0::2], T[:, 1::2])
     size = np.abs(prod)
     if sheet:
         angles = np.arccos(np.minimum(np.maximum(prod, -1.0), 1.0))
-        return angles, (size - 1.0 > tol.eps_clamp).any(axis=1)
-    return np.arccosh(np.maximum(size, 1.0)), (1.0 - size > tol.eps_clamp).any(axis=1)
+        beyond = size - 1.0 > tol.eps_clamp
+    else:
+        angles = np.arccosh(np.maximum(size, 1.0))
+        beyond = 1.0 - size > tol.eps_clamp
+    return angles, beyond[0] | beyond[1] | beyond[2]
 
 
 def _cos_sin(x, hyperbolic: bool):
@@ -144,29 +154,30 @@ def _laws(law, sides, angles):
     angles), the law-of-sines ratios, and where a ratio's denominator vanishes,
     for rows of the law family whose _LAWS row is law."""
     (sc, ss), (ac, sa) = _cos_sin(sides, law[0] > 0.0), _cos_sin(angles, law[1] > 0.0)
-    c, s = np.concatenate((sc, ac), axis=1), np.concatenate((ss, sa), axis=1)
-    cj, ck = c.take(_EJ, axis=1), c.take(_EK, axis=1)
-    sj, sk = s.take(_EJ, axis=1), s.take(_EK, axis=1)
-    residuals = np.abs(c - (law[_PRODUCT] * cj * ck
-                            + law[4:] * c.take(_SWAP, axis=1) * sj * sk))
-    vanishing = (np.abs(ss) < 1e-300).any(axis=1)
-    return residuals, sa / ss, vanishing
+    c, s = np.concatenate((sc, ac)), np.concatenate((ss, sa))
+    cj, ck = c.take(_EJ, axis=0), c.take(_EK, axis=0)
+    sj, sk = s.take(_EJ, axis=0), s.take(_EK, axis=0)
+    residuals = np.abs(c - (law[_PRODUCT, None] * cj * ck
+                            + law[4:, None] * c.take(_SWAP, axis=0) * sj * sk))
+    vanishing = np.abs(ss) < 1e-300
+    return residuals, sa / ss, vanishing[0] | vanishing[1] | vanishing[2]
 
 
-def _measure(family: int, V, p, n2, lengths, tol: Tolerances):
+def _measure(family: int, X, p, n2, lengths, tol: Tolerances):
     """Sides, angles, law residuals, sine ratios, vanishing and clamp verdicts
     and apex or anchor counts of rows of one law family.  Only tempolateral
     and contractible spatiolateral rows are searched for their apex or anchor
     and relabelled."""
-    angles, clamp = _angles(V, family == _HYP, p, n2, tol)
+    angles, clamp = _angles(X, family == _HYP, p, n2, tol)
     if family in (_TEMPO, _SPATIO_C):
         hits = _vertex_hits(family, p)
-        count = hits.sum(axis=1)
-        rows = np.arange(len(V))[:, None]
-        order = _ORDERS[np.argmax(hits, axis=1)]  # the identity where no hits
-        lengths, angles = lengths[rows, order], angles[rows, order]
+        count, n = hits.sum(axis=0), len(hits[0])
+        # each row's sides in its new order, the identity where no hits, as
+        # indices into the flattened (3, N) arrays
+        at = _ORDERS.take(np.argmax(hits, axis=0), axis=0).T * n + np.arange(n)
+        lengths, angles = lengths.take(at), angles.take(at)
     else:
-        count = np.zeros(len(V), dtype=np.intp)
+        count = np.zeros(len(clamp), dtype=np.intp)
     residuals, ratios, vanishing = _laws(_LAWS[family], lengths, angles)
     return lengths, angles, residuals, ratios, vanishing, clamp, count
 
@@ -247,41 +258,41 @@ def law_batch(vertices, tol: Tolerances = DEFAULT_TOL) -> LawBatch:
     V = np.asarray(vertices, dtype=float).reshape(-1, 3, 3)
     with np.errstate(all="ignore"):
         c = _classify_rows(V, tol)
-    return _law_rows(V, c, tol)
+    return _law_rows(c, tol)
 
 
-def _law_rows(V, c: _Rows, tol: Tolerances) -> LawBatch:
-    """law_batch of the rows V, whose classification c = _classify_rows(V, tol)
-    is already made.  A batch of one law family, which every batch of one row
-    and every sampled batch of a law family is, is measured as it is; other
-    batches are measured one law family at a time, and their rows without
-    laws are left NaN."""
-    family, n = c.law, len(V)
+def _law_rows(c: _Rows, tol: Tolerances) -> LawBatch:
+    """law_batch of the rows c.vertices, whose classification c is already
+    made.  A batch of one law family, which every batch of one row and every
+    sampled batch of a law family is, is measured as it is; other batches are
+    measured one law family at a time, and their rows without laws are left
+    NaN."""
+    family, n = c.law, len(c.law)
+    X, p, n2, lengths = c.vertices.T, c.p.T, c.n2.T, c.lengths.T
     with np.errstate(all="ignore"):  # rows that are not OK may compute anything
         if n and family.min() == family.max() >= 0:
-            parts = _measure(int(family[0]), V, c.p, c.n2, c.lengths, tol)
+            parts = _measure(int(family[0]), X, p, n2, lengths, tol)
         else:
-            parts = (np.full((n, 3), math.nan), np.full((n, 3), math.nan),
-                     np.full((n, 6), math.nan), np.full((n, 3), math.nan),
+            parts = (np.full((3, n), math.nan), np.full((3, n), math.nan),
+                     np.full((6, n), math.nan), np.full((3, n), math.nan),
                      np.zeros(n, dtype=bool), np.zeros(n, dtype=bool),
                      np.zeros(n, dtype=np.intp))
             for f in range(len(_FAMILIES)):
                 rows = np.flatnonzero(family == f)
                 if rows.size:
-                    part = _measure(f, V[rows], c.p[rows], c.n2[rows],
-                                    c.lengths[rows], tol)
-                    for whole, values in zip(parts, part):
-                        whole[rows] = values
+                    own = (x.take(rows, axis=-1) for x in (X, p, n2, lengths))
+                    for whole, values in zip(parts, _measure(f, *own, tol)):
+                        whole[..., rows] = values
         sides, angles, residuals, ratios, vanishing, angle_clamp, count = parts
-        max_residual = np.maximum(residuals.max(axis=1),
-                                  np.abs(ratios - ratios.take(_NEXT, axis=1)).max(axis=1))
+        spread = np.abs(ratios - ratios.take(_NEXT, axis=0))
+        max_residual = np.maximum(residuals.max(axis=0), spread.max(axis=0))
 
     choose = (family == _TEMPO) | (family == _SPATIO_C)
     failures = np.array([c.family < 0, c.degenerate, family < 0, choose & (count != 1),
                          angle_clamp, vanishing, np.ones(n, dtype=bool)])
     status = np.argmax(failures, axis=0)  # the first that holds, in status order
-    return LawBatch(status, family, sides, angles, residuals[:, :3],
-                    residuals[:, 3:], ratios, max_residual, count, c)
+    return LawBatch(status, family, sides.T, angles.T, residuals[:3].T,
+                    residuals[3:].T, ratios.T, max_residual, count, c)
 
 
 def trig_report(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> TrigReport:

@@ -647,3 +647,42 @@ def test_verify_sample_classifies_each_block_once(monkeypatch, capsys, family,
     assert classified == blocks
     if family == "spatiolateral_contractible" and count == 1000:
         assert len(blocks) == 2 + (seed == 8)
+
+
+# -- the rows-last layout ------------------------------------------------------
+#
+# The array rules copy the vertex rows once into a (coordinate, vertex, row)
+# array.  Strided rows, Fortran-ordered rows and rows that are already laid
+# out that way, which are not copied, must give the same bytes in every field.
+
+def assert_same_fields(got, want):
+    for name, g, w in zip(want._fields, got, want):
+        if name == "classes":
+            assert_same_fields(g, w)
+            continue
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("family", ["mixed", *LAW_SAMPLES])
+def test_every_row_layout_gives_the_same_fields(family):
+    if family == "mixed":
+        V, tol = status_batch(400, 57), NO_BANDS
+    else:
+        V = _sample_rows(SampleSpec(family=family, count=300, seed=57))
+        tol = DEFAULT_TOL
+    assert V.flags.c_contiguous
+    layouts = {
+        "every other row": np.repeat(V, 2, axis=0)[::2],
+        "Fortran order": np.asfortranarray(V),
+        "rows last": np.ascontiguousarray(V.transpose(2, 1, 0)).transpose(2, 1, 0),
+    }
+    with np.errstate(all="ignore"):  # the rows off the quadric
+        want = _classify_rows(V, tol)
+        for name, W in layouts.items():
+            assert np.array_equal(W, V, equal_nan=True), name
+            assert not W.flags.c_contiguous, name
+            assert_same_fields(_classify_rows(W, tol), want)
+    want = law_batch(V, tol)
+    for W in layouts.values():
+        assert_same_fields(law_batch(W, tol), want)

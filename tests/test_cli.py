@@ -419,7 +419,7 @@ LAW_SAMPLES = ["hyperbolic", "antipodal_hyperbolic", "spatiolateral_contractible
 
 class TestVerifyWriter:
     @pytest.mark.parametrize("family", LAW_SAMPLES)
-    @pytest.mark.parametrize("count", [1, 2, 1000])
+    @pytest.mark.parametrize("count", [1, 2, 4, 1000])
     @pytest.mark.parametrize("seed", [0, 11, 12])
     def test_sampled_output_matches_the_reference(self, capsys, monkeypatch,
                                                   family, count, seed):
@@ -476,11 +476,20 @@ class TestVerifyWriter:
         assert cli._write_reports(batch, bound) == failures
         assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("rows", [0, 1, 2, 4, 5, 9, 40])
+    @pytest.mark.parametrize("rows", [
+        0, 1, 2, 4, 5, 9, 40,
+        # one law family: its own report, and non-finite residuals and sums
+        # (hyperbolic), an infinite side sum (spatiolateral) and finite
+        # residuals (tempolateral), at and above cli._UNIQUE_ROWS
+        pytest.param([0] * 5, id="hyperbolic-5"),
+        pytest.param([1] * 5, id="spatiolateral-5"),
+        pytest.param([2] * 5, id="tempolateral-5"),
+        pytest.param([2] * 4, id="tempolateral-4"),
+    ])
     def test_either_residual_path_matches_the_reference(self, capsys, rows):
         # below cli._UNIQUE_ROWS rows each residual is formatted on its own;
         # from there np.unique finds the distinct ones first
-        batch = hand_built_batch(np.arange(rows) % 3)
+        batch = hand_built_batch(np.arange(rows) % 3 if isinstance(rows, int) else rows)
         expected, failures = reference_reports(batch, 1e-9)
         assert cli._write_reports(batch, 1e-9) == failures
         assert capsys.readouterr().out == expected
