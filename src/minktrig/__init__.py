@@ -19,7 +19,7 @@ from .mink import (
     minkowski_product,
     random_lorentz,
 )
-from .polar import PolarResult, polar_exists, polar_triangle, predict_polar_type
+from .polar import PolarResult, polar_triangle, predict_polar_type
 from .samplers import SampleSpec, arc_length_oracle, sample_point, sample_triangle
 from .surfaces import (
     Component,
@@ -41,7 +41,6 @@ from .triangles import (
     TriangleFamily,
     classify_triangle,
     is_contractible,
-    is_degenerate,
     triangle_inequality_report,
 )
 from .trig import LawBatch, LawFamily, TrigReport, law_batch, trig_report

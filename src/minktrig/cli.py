@@ -82,7 +82,9 @@ def _load_json(args) -> dict:
                 data = json.load(fh)
         else:
             data = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError; deep
+        # nesting overflows the decoder's recursion
         raise InputError(f"cannot read input: {exc}")
     if not isinstance(data, dict):
         raise InputError("top-level JSON value must be an object")

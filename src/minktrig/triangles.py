@@ -140,11 +140,6 @@ def _geometry(t: Triangle, tol: Tolerances) -> _Geometry:
     return _Geometry(sides, det, abs(det) <= tol.eps_degen * scale)
 
 
-def is_degenerate(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when the vertices are coplanar with the origin."""
-    return _geometry(t, tol).degenerate
-
-
 def _winding_number(t: Triangle) -> int:
     """Winding of the projected boundary loop A -> B -> C -> A about the origin
     of the x2-x3 plane.
@@ -393,10 +388,10 @@ def _predicted_inequality(cls: TriangleClass, sides) -> Optional[bool]:
     infinite = sum(math.isinf(x) for x in lengths)
     if cls.degenerate:
         return True
-    if cls.family in (TriangleFamily.HYPERBOLIC, TriangleFamily.ANTIPODAL_HYPERBOLIC):
+    # hyperbolic triangles obey it; a strange triangle's vertices lie on two or
+    # more components, so two or more of its sides are infinite
+    if cls.family is not TriangleFamily.PROPER:
         return True
-    if cls.family is TriangleFamily.STRANGE:
-        return True if infinite >= 2 else None
     if cls.impossible_sides:
         return infinite >= 2
     pk = cls.proper_kind

@@ -11,13 +11,9 @@ import sys
 import numpy as np
 import pytest
 
+from minktrig.errors import PolarNonExistent
 from minktrig.mink import apply_matrix, random_lorentz
-from minktrig.polar import (
-    polar_exists,
-    polar_triangle,
-    predict_polar_type,
-    prediction_satisfied,
-)
+from minktrig.polar import polar_triangle, predict_polar_type, prediction_satisfied
 from minktrig.samplers import (
     SampleSpec,
     arc_length_oracle,
@@ -134,9 +130,7 @@ def test_criterion_03_polar_involution(batch_hyp, batch_nc, batch_c,
     count = 0
     for b in (batch_hyp, batch_nc, batch_c, batch_tempo):
         for t in b[: N_BIG // 4]:
-            exists, _ = polar_exists(t)
-            assert exists
-            res = polar_triangle(t)
+            res = polar_triangle(t)  # a missing polar raises and fails
             back = polar_triangle(Triangle.from_vectors(*res.vertices))
             assert back.epsilon == res.epsilon
             for got, want in zip(back.vertices,
@@ -186,17 +180,19 @@ def test_criterion_05_polar_type_mapping(batch_mixed):
     for t in batch_mixed:
         cls, _ = classify_triangle(t)
         pred = predict_polar_type(cls)
-        exists, _ = polar_exists(t)
+        try:
+            res = polar_triangle(t)
+        except PolarNonExistent:
+            res = None
         if pred.nonexistent:
-            if exists:
+            if res is not None:
                 violations += 1
             if cls.proper_kind in lightlike_kinds:
                 nonexistent_kinds.add(cls.proper_kind)
             continue
-        if not exists:
+        if res is None:
             violations += 1
             continue
-        res = polar_triangle(t)
         if pred.zero_triangle:
             if not res.zero_triangle:
                 violations += 1

@@ -349,6 +349,31 @@ class TestProcess:
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "polar", "verify"])
+    @pytest.mark.parametrize("raw, via_file", [
+        (b"[" * 100_000, False),
+        (b'{"vertices": ' + b"[" * 5000, False),
+        (b"\xff\xfe{", False),
+        (b"\xff\xfe{", True),
+    ], ids=["nested", "nested_vertices", "not_utf8", "not_utf8_file"])
+    def test_unreadable_json_exit_2(self, capsys, monkeypatch, tmp_path,
+                                    command, raw, via_file):
+        # nesting beyond the decoder's recursion limit, and bytes that are
+        # not UTF-8, on stdin or in a file
+        argv = [command]
+        if via_file:
+            path = tmp_path / "input.json"
+            path.write_bytes(raw)
+            argv += ["--file", str(path)]
+        else:
+            monkeypatch.setattr("sys.stdin",
+                                io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error: cannot read input")
+
     @pytest.mark.parametrize("argv, stdin", [
         (["verify", "--sample", "tempolateral", "--count", "50"], None),
         (["classify"], triangle_payload((1, 0, 0), (0, 1, 0), (0, 0, 1))),

@@ -9,7 +9,8 @@ from minktrig.mink import j_transform, minkowski_product
 from minktrig.polar import (
     REASON_LIGHTLIKE,
     REASON_OPPOSITE,
-    polar_exists,
+    _POLAR_PAIRS,
+    _polar_type,
     polar_triangle,
     predict_polar_type,
     prediction_satisfied,
@@ -30,26 +31,29 @@ HYP_FIXTURE = tri((SQRT2, 1, 0), (SQRT2, 0, 1), (SQRT2, -1, 0))
 
 class TestExistence:
     def test_opposite_vertices(self):
-        ok, reason = polar_exists(tri((0, 1, 0), (0, -1, 0), (0, 0, 1)))
-        assert not ok and reason == REASON_OPPOSITE
+        with pytest.raises(PolarNonExistent) as exc:
+            polar_triangle(tri((0, 1, 0), (0, -1, 0), (0, 0, 1)))
+        assert exc.value.reason == REASON_OPPOSITE
 
     def test_photosceles_lightlike_side_plane(self):
         t = sample_triangle(
             SampleSpec(family="photosceles_spacelike_base", count=1, seed=1)
         )[0]
-        ok, reason = polar_exists(t)
-        assert not ok and reason == REASON_LIGHTLIKE
+        with pytest.raises(PolarNonExistent) as exc:
+            polar_triangle(t)
+        assert exc.value.reason == REASON_LIGHTLIKE
 
     def test_hyperbolic_triangle_has_polar(self):
-        ok, reason = polar_exists(HYP_FIXTURE)
-        assert ok and reason is None
+        assert polar_triangle(HYP_FIXTURE).vertices is not None
 
     def test_nonexistent_exactly_when_classification_flags_it(self):
         for t in sample_triangle(SampleSpec(family="mixed", count=300, seed=17)):
             cls, _ = classify_triangle(t)
-            ok, _ = polar_exists(t)
-            assert ok is not (cls.has_opposite_vertices
-                              or cls.has_lightlike_side_plane)
+            if cls.has_opposite_vertices or cls.has_lightlike_side_plane:
+                with pytest.raises(PolarNonExistent):
+                    polar_triangle(t)
+            else:
+                polar_triangle(t)
 
 
 class TestConstruction:
@@ -90,10 +94,10 @@ class TestConstruction:
     def test_involution_and_epsilon_on_samples(self):
         count = 0
         for t in sample_triangle(SampleSpec(family="mixed", count=60, seed=3)):
-            ok, _ = polar_exists(t)
-            if not ok:
+            try:
+                res = polar_triangle(t)
+            except PolarNonExistent:
                 continue
-            res = polar_triangle(t)
             if res.zero_triangle:
                 continue
             back = polar_triangle(Triangle.from_vectors(*res.vertices))
@@ -170,18 +174,17 @@ class TestTypePrediction:
             for t in sample_triangle(SampleSpec(family=fam, count=10, seed=11)):
                 cls, _ = classify_triangle(t)
                 assert predict_polar_type(cls).nonexistent
-                ok, _ = polar_exists(t)
-                assert not ok
+                with pytest.raises(PolarNonExistent):
+                    polar_triangle(t)
 
     def test_prediction_holds_on_mixed_samples(self):
         for t in sample_triangle(SampleSpec(family="mixed", count=120, seed=13)):
             cls, _ = classify_triangle(t)
             pred = predict_polar_type(cls)
-            ok, _ = polar_exists(t)
             if pred.nonexistent:
-                assert not ok
+                with pytest.raises(PolarNonExistent):
+                    polar_triangle(t)
                 continue
-            assert ok
             res = polar_triangle(t)
             if pred.zero_triangle:
                 assert res.zero_triangle
@@ -189,3 +192,21 @@ class TestTypePrediction:
             assert not res.zero_triangle
             pcls, _ = classify_triangle(Triangle.from_vectors(*res.vertices))
             assert prediction_satisfied(pred, pcls), (cls, pcls)
+
+    def test_pairs_on_mixed_samples_are_the_table(self):
+        # the classes of actual polar triangles are the oracle: every pair of
+        # the table, read both ways, occurs, and no other pair does
+        seen = set()
+        for t in sample_triangle(SampleSpec(family="mixed", count=3000, seed=13)):
+            try:
+                res = polar_triangle(t)
+            except PolarNonExistent:
+                continue
+            if res.zero_triangle:
+                continue
+            cls, _ = classify_triangle(t)
+            pcls, _ = classify_triangle(Triangle.from_vectors(*res.vertices))
+            seen.add((_polar_type(cls), _polar_type(pcls)))
+        table = set(_POLAR_PAIRS) | {(b, a) for a, b in _POLAR_PAIRS}
+        assert len(table) == 20
+        assert seen == table

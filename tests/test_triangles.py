@@ -25,7 +25,6 @@ from minktrig.triangles import (
     TriangleFamily,
     classify_triangle,
     is_contractible,
-    is_degenerate,
     triangle_inequality_report,
 )
 
@@ -98,14 +97,15 @@ class TestClassify:
 
 class TestDegenerate:
     def test_coplanar_with_origin(self):
-        assert is_degenerate(tri((0, 1, 0), (0, 0, 1), (0, SQRT2 / 2, SQRT2 / 2)))
+        t = tri((0, 1, 0), (0, 0, 1), (0, SQRT2 / 2, SQRT2 / 2))
+        assert classify_triangle(t)[0].degenerate
 
     def test_contractible_fixture_not_degenerate(self):
-        assert not is_degenerate(tri((0, 1, 0), (0, 0, 1), W_PLUS))
+        assert not classify_triangle(tri((0, 1, 0), (0, 0, 1), W_PLUS))[0].degenerate
 
     def test_lucilateral_always_degenerate(self):
         for t in sample_triangle(SampleSpec(family="lucilateral", count=30, seed=3)):
-            assert is_degenerate(t)
+            assert classify_triangle(t)[0].degenerate
 
 
 class TestContractibility:
@@ -197,11 +197,13 @@ class TestInequality:
             "hyperbolic", "antipodal_hyperbolic", "tempolateral",
             "spatiolateral_contractible", "spatiolateral_noncontractible",
             "lucilateral", "photosceles_spacelike_base",
-            "photosceles_timelike_base",
+            "photosceles_timelike_base", "strange", "impossible",
         )
         for fam in families:
             for t in sample_triangle(SampleSpec(family=fam, count=20, seed=11)):
                 rep = triangle_inequality_report(t)
+                if fam in ("strange", "impossible"):
+                    assert rep.predicted is not None, fam
                 if rep.predicted is not None:
                     assert rep.predicted == rep.holds, fam
 
