@@ -14,7 +14,6 @@ Usage:
 import argparse
 import math
 
-from minktrig.constants import DEFAULT_TOL
 from minktrig.samplers import _LAW_SAMPLES, SampleSpec, _sample_classified
 from minktrig.trig import _law_rows
 
@@ -24,7 +23,7 @@ LAW_FAMILIES = _LAW_SAMPLES
 def summarize(family: str, count: int, seed: int) -> dict:
     spec = SampleSpec(family=family, count=count, seed=seed)
     _, classes = _sample_classified(spec)
-    batch = _law_rows(classes, DEFAULT_TOL)
+    batch = _law_rows(classes)
     batch.raise_first()
     residuals = batch.max_residual
     out = {"max_residual": float(residuals.max()),

@@ -9,7 +9,7 @@ angles (`surfaces`), the triangle taxonomy (`triangles`), polar duality
 numerical oracles (`samplers`).
 """
 
-from .constants import DEFAULT_RESIDUAL_BOUND, DEFAULT_TOL, Tolerances
+from .constants import DEFAULT_RESIDUAL_BOUND
 from .errors import MinkTrigError
 from .mink import (
     MVec3,

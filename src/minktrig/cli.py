@@ -1,8 +1,9 @@
 """JSON-in/JSON-out command line interface.
 
-Exit codes: 0 success, 2 input error, 3 domain error, 4 verification failure
-(in --strict mode only).  Infinite distances are serialized as the string
-"inf" since JSON has no infinity literal.
+Exit codes: 0 success, 1 stdout closed before the output was written, 2 input
+error, 3 domain error, 4 verification failure (in --strict mode only).
+Infinite distances are serialized as the string "inf" since JSON has no
+infinity literal.
 
 Every command but verify builds its payload as a dict and writes it with
 json.dumps.  verify writes its reports as text read straight off the
@@ -17,12 +18,13 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from typing import Optional
 
 import numpy as np
 
-from .constants import DEFAULT_RESIDUAL_BOUND, DEFAULT_TOL
+from .constants import DEFAULT_RESIDUAL_BOUND
 from .errors import MinkTrigError, PolarNonExistent, UnsupportedFamily
 from .mink import MVec3
 from .polar import polar_triangle
@@ -34,9 +36,14 @@ from .trig import _HYP, _SPATIO_C, _SPATIO_NC, LawBatch, _law_rows, law_batch
 SCHEMA = "minktrig/1"
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
+
+# The largest --count or --samples, checked before anything is allocated: a
+# batch of 10**6 rows takes about 2 GB.
+MAX_COUNT = 10**6
 
 
 class InputError(Exception):
@@ -115,9 +122,11 @@ def _parse_vec(raw, name: str) -> MVec3:
     return MVec3(*coords)
 
 
-def _at_least(value: int, least: int, option: str) -> int:
+def _in_range(value: int, option: str, least: int, most: float = math.inf) -> int:
     if value < least:
         raise InputError(f"{option} must be at least {least}, got {value}")
+    if value > most:
+        raise InputError(f"{option} must be at most {most}, got {value}")
     return value
 
 
@@ -178,15 +187,15 @@ def _verify_batch(args) -> LawBatch:
     if args.sample:
         if args.file:
             raise InputError("--sample and --file are mutually exclusive")
-        count = _at_least(args.count, 1, "--count")
+        count = _in_range(args.count, "--count", 1, MAX_COUNT)
         spec = SampleSpec(family=args.sample, count=count,
-                          seed=_at_least(args.seed, 0, "--seed"))
+                          seed=_in_range(args.seed, "--seed", 0))
         if spec.family == "mixed":
             return law_batch(_sample_rows(spec))
         if spec.family not in _LAW_SAMPLES:
             raise UnsupportedFamily(f"no trig laws for {spec.family} triangles")
         _, classes = _sample_classified(spec)
-        return _law_rows(classes, DEFAULT_TOL)
+        return _law_rows(classes)
     data = _load_json(args)
     _check_fields(data, {"vertices"}, args.strict)
     t = _parse_triangle(data)
@@ -303,7 +312,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_geodesic(args) -> int:
-    samples = _at_least(args.samples, 2, "--samples")
+    samples = _in_range(args.samples, "--samples", 2, MAX_COUNT)
     data = _load_json(args)
     _check_fields(data, {"a", "b"}, args.strict)
     if "a" not in data or "b" not in data:
@@ -314,7 +323,7 @@ def cmd_export_geodesic(args) -> int:
     except MinkTrigError as exc:
         raise InputError(str(exc))
 
-    end, point = _segment(a, b, DEFAULT_TOL)
+    end, point = _segment(a, b)
     writer = csv.writer(sys.stdout)
     writer.writerow(["x1", "x2", "x3", "t"])
     for t in np.linspace(0.0, end, samples):
@@ -324,9 +333,9 @@ def cmd_export_geodesic(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    count = _at_least(args.count, 1, "--count")
+    count = _in_range(args.count, "--count", 1, MAX_COUNT)
     spec = SampleSpec(family=args.family, count=count,
-                      seed=_at_least(args.seed, 0, "--seed"))
+                      seed=_in_range(args.seed, "--seed", 0))
     _emit({"family": args.family, "seed": args.seed,
            "triangles": _sample_rows(spec).tolist()})
     return EXIT_OK
@@ -382,7 +391,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at /dev/null so that the
+        # interpreter's final flush cannot raise again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_CLOSED
     except InputError as exc:
         return _fail(EXIT_INPUT, "input error", str(exc))
     except MinkTrigError as exc:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .constants import DEFAULT_TOL, Tolerances
 from .errors import PolarNonExistent
 from .surfaces import Component, SegmentKind
 from .triangles import Triangle, TriangleClass, TriangleFamily, _geometry
@@ -35,9 +34,9 @@ class PolarResult:
     zero_triangle: bool = False
 
 
-def polar_triangle(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> PolarResult:
+def polar_triangle(t: Triangle) -> PolarResult:
     """Polar triangle of t, or the zero triangle when t is degenerate."""
-    g = _geometry(t, tol)
+    g = _geometry(t)
     for s in g.sides:
         if s.opposite:
             raise PolarNonExistent(REASON_OPPOSITE)

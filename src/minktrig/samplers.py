@@ -20,12 +20,11 @@ sampling alone cannot reach them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
-from .constants import DEFAULT_TOL, Tolerances
 from .errors import (
     EmptySegment,
     LightlikeSegment,
@@ -83,8 +82,6 @@ class SampleSpec:
     family: str
     count: int
     seed: int
-    max_rapidity: float = 3.0
-    rejection_budget: int = 1_000_000
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -99,7 +96,6 @@ def sample_point(
     component: Component,
     rng: np.random.Generator,
     max_rapidity: float = 3.0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> SurfacePoint:
     """Point on the requested component, uniform in (rapidity, angle) parameters."""
     theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -113,14 +109,14 @@ def sample_point(
                   math.sinh(u) * math.sin(theta))
         if component is Component.NEG_H2:
             x = -x
-    return surface_point(x, tol)
+    return surface_point(x)
 
 
-def sample_triangle(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL) -> List[Triangle]:
+def sample_triangle(spec: SampleSpec) -> List[Triangle]:
     """Batch of triangles whose classification matches spec.family: the rows
     of _sample_rows, as triangles."""
-    return [Triangle.from_vectors(*(MVec3(*v) for v in row), tol)
-            for row in _sample_rows(spec, tol).tolist()]
+    return [Triangle.from_vectors(*(MVec3(*v) for v in row))
+            for row in _sample_rows(spec).tolist()]
 
 
 # The sampleable families whose triangles have trig laws.
@@ -194,11 +190,12 @@ def _rotations(theta):
     return m
 
 
-def _lorentz_rows(rng, size: int, max_rapidity: float):
-    """Stacked rotation-boost-rotation maps, as mink.random_lorentz draws them."""
+def _lorentz_rows(rng, size: int):
+    """Stacked rotation-boost-rotation maps of rapidity at most 1, as
+    mink.random_lorentz draws them."""
     r1 = _rotations(rng.uniform(0.0, 2.0 * math.pi, size))
     r2 = _rotations(rng.uniform(0.0, 2.0 * math.pi, size))
-    eta = rng.uniform(0.0, max_rapidity, size)
+    eta = rng.uniform(0.0, 1.0, size)
     b = np.zeros((size, 3, 3))
     b[:, 0, 0] = b[:, 1, 1] = np.cosh(eta)
     b[:, 0, 1] = b[:, 1, 0] = np.sinh(eta)
@@ -206,18 +203,18 @@ def _lorentz_rows(rng, size: int, max_rapidity: float):
     return r1 @ b @ r2
 
 
-def _from_e2(rng, spec: SampleSpec, B, C):
+def _from_e2(rng, B, C):
     """Rows (e2, B, C), each moved by a random orthochronous Lorentz map of
-    rapidity at most min(max_rapidity, 1)."""
+    rapidity at most 1."""
     W = np.zeros((len(B), 3, 3))
     W[:, 0, 1] = 1.0
     W[:, 1], W[:, 2] = B, C
-    M = _lorentz_rows(rng, len(W), min(spec.max_rapidity, 1.0))
+    M = _lorentz_rows(rng, len(W))
     return W @ M.transpose(0, 2, 1)
 
 
 def _hyperbolic_rows(rng, spec: SampleSpec, size: int):
-    u = rng.uniform(0.0, min(spec.max_rapidity, 1.5), (size, 3))
+    u = rng.uniform(0.0, 1.5, (size, 3))
     V = _sheet(u, rng.uniform(0.0, 2.0 * math.pi, (size, 3)))
     return -V if spec.family == "antipodal_hyperbolic" else V
 
@@ -246,7 +243,7 @@ def _tempolateral_rows(rng, spec: SampleSpec, size: int):
                  axis=-1)
     C = np.stack((-np.sinh(t2) * np.cosh(s2), np.cosh(t2), np.sinh(t2) * np.sinh(s2)),
                  axis=-1)
-    return _from_e2(rng, spec, B, C)
+    return _from_e2(rng, B, C)
 
 
 def _sceles_rows(rng, spec: SampleSpec, size: int):
@@ -266,7 +263,7 @@ def _photosceles_rows(rng, spec: SampleSpec, size: int):
         t2 = rng.uniform(0.1, 0.9, size) / t1
     else:
         t2 = -rng.uniform(0.3, 1.5, size)
-    return _from_e2(rng, spec, _ray(t1, 1.0),
+    return _from_e2(rng, _ray(t1, 1.0),
                     _ray(t2, 1.0 if spec.family == "lucilateral" else -1.0))
 
 
@@ -276,15 +273,14 @@ def _one_lightlike_rows(rng, spec: SampleSpec, size: int):
     side c is lightlike, and the third vertex decides the other two kinds."""
     B = _ray(_signed(rng, 0.3, 1.5, size), 1.0)
     C = _de_sitter(_signed(rng, 0.05, 1.2, size), rng.uniform(0.0, 2.0 * math.pi, size))
-    return _from_e2(rng, spec, B, C)
+    return _from_e2(rng, B, C)
 
 
 def _strange_rows(rng, spec: SampleSpec, size: int):
     """Three points, each on a component picked at random, with |u| and |v|
-    up to min(max_rapidity, 1.5); rows on a single component are refused."""
-    cap = min(spec.max_rapidity, 1.5)
+    up to 1.5; rows on a single component are refused."""
     component = rng.integers(0, 3, (size, 3, 1))
-    w = rng.uniform(-cap, cap, (size, 3))
+    w = rng.uniform(-1.5, 1.5, (size, 3))
     theta = rng.uniform(0.0, 2.0 * math.pi, (size, 3))
     sheet = _sheet(np.abs(w), theta)
     # Component codes: 0 and 1 for the forward and backward sheets
@@ -293,16 +289,17 @@ def _strange_rows(rng, spec: SampleSpec, size: int):
 
 
 def _impossible_rows(rng, spec: SampleSpec, size: int):
-    """Three de Sitter points with |v| up to min(max_rapidity, 2): widely
-    separated points make empty sides likely."""
-    cap = min(spec.max_rapidity, 2.0)
+    """Three de Sitter points with |v| up to 2: widely separated points make
+    empty sides likely."""
     theta = rng.uniform(0.0, 2.0 * math.pi, (size, 3))
-    return _de_sitter(rng.uniform(-cap, cap, (size, 3)), theta)
+    return _de_sitter(rng.uniform(-2.0, 2.0, (size, 3)), theta)
 
 
 # Rows per candidate block at most, so that memory stays bounded when few
 # candidates pass (a block of 2**16 rows holds about 5 MB per array).
 _MAX_BLOCK = 1 << 16
+# Candidates one batch of a single family may draw before it gives up.
+_REJECTION_BUDGET = 1_000_000
 
 _MAKERS = {
     "hyperbolic": _hyperbolic_rows,
@@ -323,46 +320,45 @@ _MAKERS = {
 }
 
 
-def _sample_rows(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
+def _sample_rows(spec: SampleSpec):
     """The vertex rows of a batch of spec.family, shape (count, 3, 3).
 
     Row i of a mixed batch is of family FAMILIES[i % 15]: each family's rows
     are one batch, from a seed of its own drawn from spec.seed.
     """
     if spec.family != "mixed":
-        return np.concatenate([V[keep] for V, _, keep in _blocks(spec, tol)])
+        return np.concatenate([V[keep] for V, _, keep in _blocks(spec)])
     pool = FAMILIES[:-1]
     seeds = np.random.default_rng(spec.seed).integers(0, 2**32, len(pool))
     V = np.empty((spec.count, 3, 3))
     for j, family in enumerate(pool):
         count = len(V[j::len(pool)])
         if count:
-            V[j::len(pool)] = _sample_rows(replace(
-                spec, family=family, count=count, seed=int(seeds[j])), tol)
+            V[j::len(pool)] = _sample_rows(SampleSpec(family, count, int(seeds[j])))
     return V
 
 
-def _sample_classified(spec: SampleSpec, tol: Tolerances = DEFAULT_TOL):
+def _sample_classified(spec: SampleSpec):
     """The rows of a batch of spec.family, a single family, and their
     classification, equal to _classify_rows of the rows: each block's
     accepted rows keep their slice of its classification, which is what
     classifying them again would give, since _classify_rows works row by
     row.  The rows are the classification's own vertices."""
     blocks = [[np.take(x.T, keep, axis=-1) for x in c]
-              for _, c, keep in _blocks(spec, tol)]
+              for _, c, keep in _blocks(spec)]
     if len(blocks) > 1:
         blocks = [[np.concatenate(x, axis=-1) for x in zip(*blocks)]]
     c = _Rows(*(x.T for x in blocks[0]))
     return c.vertices, c
 
 
-def _blocks(spec: SampleSpec, tol: Tolerances):
+def _blocks(spec: SampleSpec):
     """The candidate blocks of a batch of spec.family, a single family: each
     block's rows, their classification and the indices of its accepted rows.
 
     Candidates are drawn in blocks, each sized from the rows still needed and
     the share accepted so far, up to _MAX_BLOCK rows, and classified once;
-    _accept_rows reads the classification.  spec.rejection_budget counts
+    _accept_rows reads the classification.  _REJECTION_BUDGET counts
     candidates.
     """
     rng = np.random.default_rng(spec.seed)
@@ -372,20 +368,18 @@ def _blocks(spec: SampleSpec, tol: Tolerances):
         need = spec.count - accepted
         rate = max(accepted, 1) / attempts if attempts else 1.0
         size = min(int(1.1 * need / rate) + 1, _MAX_BLOCK,
-                   spec.rejection_budget - attempts)
+                   _REJECTION_BUDGET - attempts)
         if size <= 0:
             raise RejectionBudgetExhausted(spec.family, attempts, accepted)
         V = draw(rng, spec, size)
         attempts += size
-        c = _classify_rows(V, tol)
+        c = _classify_rows(V)
         keep = np.flatnonzero(_accept_rows(spec, c))[:need]
         accepted += len(keep)
         yield V, c, keep
 
 
-def sample_segment(
-    kind: SegmentKind, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOL
-) -> tuple:
+def sample_segment(kind: SegmentKind, rng: np.random.Generator) -> tuple:
     """Endpoint pair whose segment has the requested kind."""
     targets = {
         SegmentKind.HYPERBOLIC: Component.H2,
@@ -398,14 +392,14 @@ def sample_segment(
     comp = targets[kind]
     cap = 1.5
     for _ in range(100_000):
-        a = sample_point(comp, rng, cap, tol)
-        b = sample_point(comp, rng, cap, tol)
+        a = sample_point(comp, rng, cap)
+        b = sample_point(comp, rng, cap)
         try:
-            k = segment_kind(a, b, tol)
+            k = segment_kind(a, b)
         except MinkTrigError:
             continue
         if k is kind:
-            d = distance(a, b, tol)
+            d = distance(a, b)
             if 0.05 < d < (math.pi - 0.05 if k is SegmentKind.DE_SITTER_SPACELIKE
                            else math.inf):
                 return a, b
@@ -413,15 +407,14 @@ def sample_segment(
 
 
 def arc_length_oracle(
-    a: SurfacePoint, b: SurfacePoint, steps: int = 10_000,
-    tol: Tolerances = DEFAULT_TOL,
+    a: SurfacePoint, b: SurfacePoint, steps: int = 10_000
 ) -> float:
     """Composite-Simpson integral of the segment's speed, via finite differences.
 
     Independent of the closed-form distance: the curve is evaluated from its
     parametrization, the derivative numerically, and the length by quadrature.
     """
-    kind = segment_kind(a, b, tol)
+    kind = segment_kind(a, b)
     if kind in (SegmentKind.EMPTY, SegmentKind.POINT):
         raise EmptySegment("oracle needs a non-empty, non-trivial segment")
     if kind is SegmentKind.DE_SITTER_LIGHTLIKE:
@@ -429,9 +422,9 @@ def arc_length_oracle(
     if steps % 2:
         steps += 1
 
-    T = distance(a, b, tol)
+    T = distance(a, b)
     A = a.coords.as_array()
-    X = tangent_vector(a, b, tol).as_array()
+    X = tangent_vector(a, b).as_array()
     spacelike = kind is SegmentKind.DE_SITTER_SPACELIKE
 
     def gamma(ts: np.ndarray) -> np.ndarray:

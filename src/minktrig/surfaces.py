@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Union
 
-from .constants import DEFAULT_TOL, Tolerances
+from .constants import _POINT_EQ_TOL, EPS_CLAMP, EPS_LIGHT, EPS_SURF
 from .errors import (
     AntipodalPoints,
     ClampError,
@@ -42,8 +42,6 @@ from .errors import (
     ParamOutOfRange,
 )
 from .mink import MVec3, cross, euclid_dot, minkowski_norm, minkowski_product
-
-_POINT_EQ_TOL = 1e-12
 
 
 class Component(Enum):
@@ -83,26 +81,24 @@ class SegmentKind(Enum):
     EMPTY = "empty"
 
 
-def classify_point(
-    x: MVec3, tol: Tolerances = DEFAULT_TOL
-) -> Union[SurfacePoint, OffSurface]:
+def classify_point(x: MVec3) -> Union[SurfacePoint, OffSurface]:
     """Tag x with its quadric component, or report OffSurface.
 
     A NaN or infinite coordinate makes the self-product NaN or infinite, so
     such an x is reported OffSurface.
     """
     q = minkowski_product(x, x)
-    if abs(q + 1.0) <= tol.eps_surf:
+    if abs(q + 1.0) <= EPS_SURF:
         comp = Component.H2 if x.x1 > 0.0 else Component.NEG_H2
         return SurfacePoint(x, comp)
-    if abs(q - 1.0) <= tol.eps_surf:
+    if abs(q - 1.0) <= EPS_SURF:
         return SurfacePoint(x, Component.DE_SITTER)
     return OffSurface(q)
 
 
-def surface_point(x: MVec3, tol: Tolerances = DEFAULT_TOL) -> SurfacePoint:
+def surface_point(x: MVec3) -> SurfacePoint:
     """Like classify_point, but raises for off-surface input."""
-    p = classify_point(x, tol)
+    p = classify_point(x)
     if isinstance(p, OffSurface):
         raise OffSurfaceError(
             f"{x.as_tuple()} has self-product {p.self_product}, not +-1"
@@ -118,17 +114,17 @@ def points_antipodal(a: SurfacePoint, b: SurfacePoint) -> bool:
     return (a.coords + b.coords).euclid_norm() <= _POINT_EQ_TOL
 
 
-def _clamped_arcosh(arg: float, tol: Tolerances) -> float:
+def _clamped_arcosh(arg: float) -> float:
     if arg < 1.0:
-        if arg < 1.0 - tol.eps_clamp:
+        if arg < 1.0 - EPS_CLAMP:
             raise ClampError(f"arcosh argument {arg} below 1 beyond clamp band")
         arg = 1.0
     return math.acosh(arg)
 
 
-def _clamped_arccos(arg: float, tol: Tolerances) -> float:
+def _clamped_arccos(arg: float) -> float:
     if abs(arg) > 1.0:
-        if abs(arg) > 1.0 + tol.eps_clamp:
+        if abs(arg) > 1.0 + EPS_CLAMP:
             raise ClampError(f"arccos argument {arg} outside [-1,1] beyond clamp band")
         arg = math.copysign(1.0, arg)
     return math.acos(arg)
@@ -146,7 +142,7 @@ class _Side(NamedTuple):
     opposite: bool  # a = -b
 
 
-def _side(a: SurfacePoint, b: SurfacePoint, tol: Tolerances) -> _Side:
+def _side(a: SurfacePoint, b: SurfacePoint) -> _Side:
     A, B = a.coords, b.coords
     p = minkowski_product(A, B)
     n = cross(A, B)
@@ -154,15 +150,15 @@ def _side(a: SurfacePoint, b: SurfacePoint, tol: Tolerances) -> _Side:
     equal = points_equal(a, b)
     opposite = points_antipodal(a, b)
     lightlike = (not (equal or opposite)
-                 and abs(n2) <= tol.eps_light * euclid_dot(n, n))
+                 and abs(n2) <= EPS_LIGHT * euclid_dot(n, n))
     if equal:
         kind, length = SegmentKind.POINT, 0.0
     elif opposite or a.component is not b.component:
         kind, length = SegmentKind.EMPTY, math.inf
     elif a.component is Component.H2:
-        kind, length = SegmentKind.HYPERBOLIC, _clamped_arcosh(-p, tol)
+        kind, length = SegmentKind.HYPERBOLIC, _clamped_arcosh(-p)
     elif a.component is Component.NEG_H2:
-        kind, length = SegmentKind.ANTIPODAL_HYPERBOLIC, _clamped_arcosh(-p, tol)
+        kind, length = SegmentKind.ANTIPODAL_HYPERBOLIC, _clamped_arcosh(-p)
     elif p <= -1.0:
         kind, length = SegmentKind.EMPTY, math.inf
     elif lightlike:
@@ -178,15 +174,13 @@ def _side(a: SurfacePoint, b: SurfacePoint, tol: Tolerances) -> _Side:
     return _Side(kind, length, p, n, n2, lightlike, opposite)
 
 
-def distance(a: SurfacePoint, b: SurfacePoint, tol: Tolerances = DEFAULT_TOL) -> float:
+def distance(a: SurfacePoint, b: SurfacePoint) -> float:
     """Generalized distance; infinite across components."""
-    return _side(a, b, tol).length
+    return _side(a, b).length
 
 
-def segment_kind(
-    a: SurfacePoint, b: SurfacePoint, tol: Tolerances = DEFAULT_TOL
-) -> SegmentKind:
-    return _side(a, b, tol).kind
+def segment_kind(a: SurfacePoint, b: SurfacePoint) -> SegmentKind:
+    return _side(a, b).kind
 
 
 def _tangent(a: SurfacePoint, b: SurfacePoint, side: _Side) -> MVec3:
@@ -198,15 +192,13 @@ def _tangent(a: SurfacePoint, b: SurfacePoint, side: _Side) -> MVec3:
     return num / math.sqrt(abs(side.n2))
 
 
-def tangent_vector(
-    a: SurfacePoint, b: SurfacePoint, tol: Tolerances = DEFAULT_TOL
-) -> MVec3:
+def tangent_vector(a: SurfacePoint, b: SurfacePoint) -> MVec3:
     """Tangent vector at a pointing toward b.
 
     Normalized except when span(a, b) is lightlike, in which case it is the
     (lightlike) difference b - a.  Always Minkowski-orthogonal to a.
     """
-    side = _side(a, b, tol)
+    side = _side(a, b)
     if side.kind is SegmentKind.POINT:
         raise CoincidentPoints("tangent direction undefined for equal points")
     if side.opposite:
@@ -216,11 +208,11 @@ def tangent_vector(
     return _tangent(a, b, side)
 
 
-def _segment(a: SurfacePoint, b: SurfacePoint, tol: Tolerances):
+def _segment(a: SurfacePoint, b: SurfacePoint):
     """The segment from a to b as (end, point): t runs over [0, end], and
     point(t) is the point at t.  The side and the tangent are built once, for
     any number of points."""
-    side = _side(a, b, tol)
+    side = _side(a, b)
     kind = side.kind
     if kind is SegmentKind.EMPTY:
         raise EmptySegment("no segment joins antipodal or infinitely separated points")
@@ -236,7 +228,7 @@ def _segment(a: SurfacePoint, b: SurfacePoint, tol: Tolerances):
     X = _tangent(a, b, side)
 
     def point(t: float) -> MVec3:
-        if t < -tol.eps_clamp or t > T + tol.eps_clamp:
+        if t < -EPS_CLAMP or t > T + EPS_CLAMP:
             raise ParamOutOfRange(f"t = {t} outside [0, {T}]")
         if kind is SegmentKind.DE_SITTER_LIGHTLIKE:
             return A + t * X
@@ -246,15 +238,13 @@ def _segment(a: SurfacePoint, b: SurfacePoint, tol: Tolerances):
     return T, point
 
 
-def segment_point(
-    a: SurfacePoint, b: SurfacePoint, t: float, tol: Tolerances = DEFAULT_TOL
-) -> MVec3:
+def segment_point(a: SurfacePoint, b: SurfacePoint, t: float) -> MVec3:
     """Point at parameter t on the geodesic segment from a to b.
 
     t runs over [0, 1] for lightlike segments, [0, distance] otherwise;
     endpoints map to a and b exactly up to roundoff.
     """
-    _, point = _segment(a, b, tol)
+    _, point = _segment(a, b)
     return point(t)
 
 
@@ -271,41 +261,35 @@ def _check_legs(kinds: tuple) -> SegmentKind:
     return kinds[0]
 
 
-def _wrap_angle(p: float, kind: SegmentKind, tol: Tolerances) -> float:
+def _wrap_angle(p: float, kind: SegmentKind) -> float:
     if kind in (SegmentKind.HYPERBOLIC, SegmentKind.ANTIPODAL_HYPERBOLIC):
-        return _clamped_arccos(p, tol)
-    return _clamped_arcosh(abs(p), tol)
+        return _clamped_arccos(p)
+    return _clamped_arcosh(abs(p))
 
 
-def angle(
-    b: SurfacePoint, a: SurfacePoint, c: SurfacePoint,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def angle(b: SurfacePoint, a: SurfacePoint, c: SurfacePoint) -> float:
     """Angle at vertex a between the segments toward b and toward c."""
-    return _angle(a, b, c, _side(a, b, tol), _side(a, c, tol), tol)
+    return _angle(a, b, c, _side(a, b), _side(a, c))
 
 
 def _angle(a: SurfacePoint, b: SurfacePoint, c: SurfacePoint,
-           ab: _Side, ac: _Side, tol: Tolerances) -> float:
+           ab: _Side, ac: _Side) -> float:
     kind = _check_legs((ab.kind, ac.kind))
     p = minkowski_product(_tangent(a, b, ab), _tangent(a, c, ac))
-    return _wrap_angle(p, kind, tol)
+    return _wrap_angle(p, kind)
 
 
-def angle_via_cross(
-    b: SurfacePoint, a: SurfacePoint, c: SurfacePoint,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def angle_via_cross(b: SurfacePoint, a: SurfacePoint, c: SurfacePoint) -> float:
     """Same angle computed from the normalized cross products of the vertex pairs.
 
     The tangent-vector product equals +-<<(AxB)^, (AxC)^>>, with the minus sign
     on the Lorentzian component and the plus sign on the hyperboloid sheets.
     """
-    kind = _check_legs((segment_kind(a, b, tol), segment_kind(a, c, tol)))
+    kind = _check_legs((segment_kind(a, b), segment_kind(a, c)))
     A, B, C = a.coords, b.coords, c.coords
     nab = cross(A, B)
     nac = cross(A, C)
     p = minkowski_product(nab, nac) / (minkowski_norm(nab) * minkowski_norm(nac))
     if kind in (SegmentKind.DE_SITTER_SPACELIKE, SegmentKind.DE_SITTER_TIMELIKE):
         p = -p
-    return _wrap_angle(p, kind, tol)
+    return _wrap_angle(p, kind)

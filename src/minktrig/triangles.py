@@ -34,11 +34,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .constants import DEFAULT_TOL, Tolerances
+from .constants import _POINT_EQ_TOL, EPS_DEGEN, EPS_LIGHT, EPS_SURF
 from .errors import DegenerateTriangle, DuplicateVertices, NotSpatiolateral
 from .mink import MVec3, euclid_dot
 from .surfaces import (
-    _POINT_EQ_TOL,
     Component,
     SegmentKind,
     SurfacePoint,
@@ -92,9 +91,8 @@ class Triangle:
             raise DuplicateVertices("triangle vertices must be pairwise distinct")
 
     @classmethod
-    def from_vectors(cls, a: MVec3, b: MVec3, c: MVec3,
-                     tol: Tolerances = DEFAULT_TOL) -> "Triangle":
-        return cls(surface_point(a, tol), surface_point(b, tol), surface_point(c, tol))
+    def from_vectors(cls, a: MVec3, b: MVec3, c: MVec3) -> "Triangle":
+        return cls(surface_point(a), surface_point(b), surface_point(c))
 
     def vertices(self) -> tuple:
         return (self.A, self.B, self.C)
@@ -132,12 +130,12 @@ class _Geometry(NamedTuple):
     degenerate: bool
 
 
-def _geometry(t: Triangle, tol: Tolerances) -> _Geometry:
-    sides = tuple(_side(p, q, tol) for p, q in t.side_endpoints())
+def _geometry(t: Triangle) -> _Geometry:
+    sides = tuple(_side(p, q) for p, q in t.side_endpoints())
     A, B, C = (v.coords for v in t.vertices())
     det = euclid_dot(sides[2].cross, C)  # det(A, B, C) = (A x B) . C
     scale = A.euclid_norm() * B.euclid_norm() * C.euclid_norm()
-    return _Geometry(sides, det, abs(det) <= tol.eps_degen * scale)
+    return _Geometry(sides, det, abs(det) <= EPS_DEGEN * scale)
 
 
 def _winding_number(t: Triangle) -> int:
@@ -156,9 +154,9 @@ def _winding_number(t: Triangle) -> int:
     return round(sweep / (2.0 * math.pi))
 
 
-def is_contractible(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_contractible(t: Triangle) -> bool:
     """True when the projected boundary does not wind around the origin."""
-    g = _geometry(t, tol)
+    g = _geometry(t)
     if any(s.kind is not SegmentKind.DE_SITTER_SPACELIKE for s in g.sides):
         raise NotSpatiolateral("contractibility is defined for spatiolateral triangles")
     if g.degenerate:
@@ -180,13 +178,13 @@ _KIND_TABLE = {
 }
 
 
-def classify_triangle(t: Triangle, tol: Tolerances = DEFAULT_TOL):
+def classify_triangle(t: Triangle):
     """Classify a triangle; returns (TriangleClass, [SideReport])."""
-    cls, sides, _ = _classify(t, tol)
+    cls, sides, _ = _classify(t)
     return cls, sides
 
 
-def _classify(t: Triangle, tol: Tolerances):
+def _classify(t: Triangle):
     """classify_triangle, plus the geometry it was read off."""
     comps = tuple(v.component for v in t.vertices())
     if all(c is Component.H2 for c in comps):
@@ -198,7 +196,7 @@ def _classify(t: Triangle, tol: Tolerances):
     else:
         family = TriangleFamily.STRANGE
 
-    g = _geometry(t, tol)
+    g = _geometry(t)
     sides = [SideReport(label, s.kind, s.length)
              for label, s in zip(SIDE_LABELS, g.sides)]
     impossible = tuple(s.label for s in sides if s.kind is SegmentKind.EMPTY)
@@ -315,7 +313,7 @@ class _Rows(NamedTuple):
     vertices: np.ndarray  # (N, 3, 3) the rows themselves, a view of X
 
 
-def _classify_rows(V, tol: Tolerances) -> _Rows:
+def _classify_rows(V) -> _Rows:
     """_classify of each row of V, shape (N, 3, 3), by the same rules: the
     component bands of surfaces.classify_point (for q < 0, ||q| - 1| is
     |q + 1| exactly), the side rule of surfaces._side, the det band of
@@ -323,7 +321,7 @@ def _classify_rows(V, tol: Tolerances) -> _Rows:
     side sum on degenerate rows."""
     X = np.ascontiguousarray(V.T)  # coordinate, vertex, row
     q = _mink(X, X)
-    comp = np.where(np.abs(np.abs(q) - 1.0) <= tol.eps_surf,
+    comp = np.where(np.abs(np.abs(q) - 1.0) <= EPS_SURF,
                     np.where(q > 0.0, _DE_SITTER, X[0] <= 0.0), -1)
     P, Q = X.take(_J, axis=1), X.take(_K, axis=1)  # the ends of sides a, b, c
     n = (P.take(_NEXT, axis=0) * Q.take(_AFTER, axis=0)
@@ -334,7 +332,7 @@ def _classify_rows(V, tol: Tolerances) -> _Rows:
     e2 = _dot(E, E).reshape(4, 3, -1)
     equal, opposite, _, norms = np.sqrt(e2)
     equal, opposite = equal <= _POINT_EQ_TOL, opposite <= _POINT_EQ_TOL
-    lightlike = (np.abs(n2) <= tol.eps_light * e2[2]) & ~(equal | opposite)
+    lightlike = (np.abs(n2) <= EPS_LIGHT * e2[2]) & ~(equal | opposite)
     cp, cq = comp.take(_J, axis=0), comp.take(_K, axis=0)
     kinds = np.where(
         equal, _POINT, np.where(
@@ -352,7 +350,7 @@ def _classify_rows(V, tol: Tolerances) -> _Rows:
 
     det = _dot(n[:, 2], X[:, 2])  # (A x B) . C
     scale = norms[0] * norms[1] * norms[2]
-    degenerate = np.abs(det) <= tol.eps_degen * scale
+    degenerate = np.abs(det) <= EPS_DEGEN * scale
 
     family = _FAMILY_CODES[comp[0], comp[1], comp[2]]
     proper = _KIND_CODES[kinds[0], kinds[1], kinds[2]]
@@ -416,10 +414,8 @@ def _predicted_inequality(cls: TriangleClass, sides) -> Optional[bool]:
     return None
 
 
-def triangle_inequality_report(
-    t: Triangle, tol: Tolerances = DEFAULT_TOL
-) -> InequalityReport:
-    return _inequality_report(*classify_triangle(t, tol))
+def triangle_inequality_report(t: Triangle) -> InequalityReport:
+    return _inequality_report(*classify_triangle(t))
 
 
 def _inequality_report(cls: TriangleClass, sides) -> InequalityReport:

@@ -46,7 +46,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .constants import DEFAULT_TOL, Tolerances
+from .constants import EPS_CLAMP
 from .errors import ClampError, DegenerateTriangle, OffSurfaceError, UnsupportedFamily
 from .triangles import _J, _K, _NEXT, LawFamily, ProperKind, Triangle, TriangleFamily
 from .triangles import _classify_rows, _mink, _Rows
@@ -122,7 +122,7 @@ def _vertex_hits(family: int, p):
     return positive.take(_J, axis=0) & positive.take(_K, axis=0)
 
 
-def _angles(X, sheet: bool, p, n2, tol: Tolerances):
+def _angles(X, sheet: bool, p, n2):
     """Angles at A, B, C, each read off the Minkowski product of the unit
     tangents toward the other two vertices, and each row's clamp verdict, for
     rows on a hyperboloid sheet or rows on the de Sitter surface.  The sides
@@ -138,10 +138,10 @@ def _angles(X, sheet: bool, p, n2, tol: Tolerances):
     size = np.abs(prod)
     if sheet:
         angles = np.arccos(np.minimum(np.maximum(prod, -1.0), 1.0))
-        beyond = size - 1.0 > tol.eps_clamp
+        beyond = size - 1.0 > EPS_CLAMP
     else:
         angles = np.arccosh(np.maximum(size, 1.0))
-        beyond = 1.0 - size > tol.eps_clamp
+        beyond = 1.0 - size > EPS_CLAMP
     return angles, beyond[0] | beyond[1] | beyond[2]
 
 
@@ -163,12 +163,12 @@ def _laws(law, sides, angles):
     return residuals, sa / ss, vanishing[0] | vanishing[1] | vanishing[2]
 
 
-def _measure(family: int, X, p, n2, lengths, tol: Tolerances):
+def _measure(family: int, X, p, n2, lengths):
     """Sides, angles, law residuals, sine ratios, vanishing and clamp verdicts
     and apex or anchor counts of rows of one law family.  Only tempolateral
     and contractible spatiolateral rows are searched for their apex or anchor
     and relabelled."""
-    angles, clamp = _angles(X, family == _HYP, p, n2, tol)
+    angles, clamp = _angles(X, family == _HYP, p, n2)
     if family in (_TEMPO, _SPATIO_C):
         hits = _vertex_hits(family, p)
         count, n = hits.sum(axis=0), len(hits[0])
@@ -234,9 +234,10 @@ class LawBatch(NamedTuple):
             raise DegenerateTriangle("trig laws are stated for non-degenerate triangles")
         if status == NO_LAWS:
             kind = int(c.proper_kind[i])
-            raise UnsupportedFamily(
-                f"no trig laws for {tuple(TriangleFamily)[c.family[i]]}/"
-                f"{tuple(ProperKind)[kind] if kind >= 0 else None}")
+            names = [tuple(TriangleFamily)[c.family[i]].value]
+            if kind >= 0:
+                names.append(tuple(ProperKind)[kind].value)
+            raise UnsupportedFamily(f"no trig laws for {'/'.join(names)} triangles")
         if status == NOT_UNIQUE:
             what = "apex" if self.family[i] == _TEMPO else "polar anchor"
             raise DegenerateTriangle(
@@ -246,7 +247,7 @@ class LawBatch(NamedTuple):
         raise DegenerateTriangle("law of sines has a vanishing denominator")
 
 
-def law_batch(vertices, tol: Tolerances = DEFAULT_TOL) -> LawBatch:
+def law_batch(vertices) -> LawBatch:
     """Classify and measure N triangles and evaluate their laws.
 
     ``vertices`` has shape (N, 3, 3): row n holds the coordinates of A, B and
@@ -257,11 +258,11 @@ def law_batch(vertices, tol: Tolerances = DEFAULT_TOL) -> LawBatch:
     """
     V = np.asarray(vertices, dtype=float).reshape(-1, 3, 3)
     with np.errstate(all="ignore"):
-        c = _classify_rows(V, tol)
-    return _law_rows(c, tol)
+        c = _classify_rows(V)
+    return _law_rows(c)
 
 
-def _law_rows(c: _Rows, tol: Tolerances) -> LawBatch:
+def _law_rows(c: _Rows) -> LawBatch:
     """law_batch of the rows c.vertices, whose classification c is already
     made.  A batch of one law family, which every batch of one row and every
     sampled batch of a law family is, is measured as it is; other batches are
@@ -271,7 +272,7 @@ def _law_rows(c: _Rows, tol: Tolerances) -> LawBatch:
     X, p, n2, lengths = c.vertices.T, c.p.T, c.n2.T, c.lengths.T
     with np.errstate(all="ignore"):  # rows that are not OK may compute anything
         if n and family.min() == family.max() >= 0:
-            parts = _measure(int(family[0]), X, p, n2, lengths, tol)
+            parts = _measure(int(family[0]), X, p, n2, lengths)
         else:
             parts = (np.full((3, n), math.nan), np.full((3, n), math.nan),
                      np.full((6, n), math.nan), np.full((3, n), math.nan),
@@ -281,7 +282,7 @@ def _law_rows(c: _Rows, tol: Tolerances) -> LawBatch:
                 rows = np.flatnonzero(family == f)
                 if rows.size:
                     own = (x.take(rows, axis=-1) for x in (X, p, n2, lengths))
-                    for whole, values in zip(parts, _measure(f, *own, tol)):
+                    for whole, values in zip(parts, _measure(f, *own)):
                         whole[..., rows] = values
         sides, angles, residuals, ratios, vanishing, angle_clamp, count = parts
         spread = np.abs(ratios - ratios.take(_NEXT, axis=0))
@@ -295,9 +296,9 @@ def _law_rows(c: _Rows, tol: Tolerances) -> LawBatch:
                     residuals[3:].T, ratios.T, max_residual, count, c)
 
 
-def trig_report(t: Triangle, tol: Tolerances = DEFAULT_TOL) -> TrigReport:
+def trig_report(t: Triangle) -> TrigReport:
     """The laws of one triangle: law_batch on its one row."""
-    b = law_batch([[v.coords.as_tuple() for v in t.vertices()]], tol)
+    b = law_batch([[v.coords.as_tuple() for v in t.vertices()]])
     b.raise_first()
     return TrigReport(
         family=_FAMILIES[int(b.family[0])],

@@ -24,14 +24,14 @@ replaced, and the classification the sampler hands to the kernel to what
 classifying the sampled rows again gives.
 """
 
+import contextlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from minktrig import cli, samplers, trig
-from minktrig.constants import DEFAULT_TOL, Tolerances
+from minktrig import cli, samplers, triangles, trig
 from minktrig.errors import (
     DegenerateTriangle,
     MinkTrigError,
@@ -137,9 +137,9 @@ def scalar_law_family(cls):
 
 def assert_classes_match(V, triangles):
     """Every verdict of the array classifier against the scalar one, row by row."""
-    rows = _classify_rows(V, DEFAULT_TOL)
+    rows = _classify_rows(V)
     for n, t in enumerate(triangles):
-        cls, sides, g = _classify(t, DEFAULT_TOL)
+        cls, sides, g = _classify(t)
         kinds = [KINDS[k] for k in rows.kinds[n]]
         proper, contractible, law = (int(rows.proper_kind[n]), int(rows.contractible[n]),
                                      int(rows.law[n]))
@@ -167,7 +167,7 @@ def reference(t):
     """Family, sides, angles and residuals the scalar way: the classifier's
     sides, the apex or anchor by the sign of r_i = p_i - p_j p_k, each angle
     from surfaces.angle, and the laws as written out above."""
-    cls, _, g = _classify(t, DEFAULT_TOL)
+    cls, _, g = _classify(t)
     family = scalar_law_family(cls)
     p = [s.p for s in g.sides]
     r = [p[i] - p[j] * p[k] for i, j, k in ORDERS]
@@ -196,7 +196,7 @@ def assert_matches_reference(triangles, batch):
     it, or has the status of its scalar class."""
     measured = 0
     for n, t in enumerate(triangles):
-        cls, _, _ = _classify(t, DEFAULT_TOL)
+        cls, _, _ = _classify(t)
         if cls.degenerate or scalar_law_family(cls) is None:
             assert batch.status[n] == (DEGENERATE if cls.degenerate else NO_LAWS)
             continue
@@ -254,7 +254,7 @@ def test_degenerate_spatiolateral_rows_fall_back_to_the_side_sum():
     V = np.array(rows)
     triangles = triangles_of(V)
     assert_classes_match(V, triangles)
-    classes = _classify_rows(V, DEFAULT_TOL)
+    classes = _classify_rows(V)
     assert classes.degenerate.all()
     assert (classes.proper_kind == PROPER_KINDS.index(
         ProperKind.SPATIOLATERAL_CONTRACTIBLE)).all()
@@ -275,7 +275,7 @@ def test_constructed_rows_match_the_scalar_classifier():
     V = np.array([[m @ np.array(v, dtype=float) for v in row]
                   for row in fixtures for m in maps]
                  + [[(0, 1, 0), (0, 0, 1), (1e10, 1e10, 1)]])
-    classes = _classify_rows(V, DEFAULT_TOL)
+    classes = _classify_rows(V)
     assert classes.opposite.any() and classes.lightlike.any()
     assert_classes_match(V, triangles_of(V))
 
@@ -337,7 +337,7 @@ def test_block_acceptance_matches_scalar_accepts(family):
         assert accepts(family, t)
     # and candidate by candidate, rejections included
     V = _MAKERS[family](np.random.default_rng(48), spec, 2000)
-    mask = _accept_rows(spec, _classify_rows(V, DEFAULT_TOL))
+    mask = _accept_rows(spec, _classify_rows(V))
     for row, accepted in zip(V.tolist(), mask.tolist()):
         try:
             t = Triangle.from_vectors(*(MVec3(*v) for v in row))
@@ -463,7 +463,7 @@ def coded_vertex_hits(family, p):
                     & (family == _SPATIO_C))
 
 
-def coded_angles(V, family, p, n2, tol):
+def coded_angles(V, family, p, n2):
     sheet = (family == _HYP)[:, None]
     X = V.transpose(2, 0, 1)
     At, ps = X.take(_TV, axis=2), p.take(_TS, axis=1)
@@ -474,7 +474,7 @@ def coded_angles(V, family, p, n2, tol):
     size = np.abs(prod)
     angles = np.where(sheet, np.arccos(np.minimum(np.maximum(prod, -1.0), 1.0)),
                       np.arccosh(np.maximum(size, 1.0)))
-    beyond = np.where(sheet, size - 1.0, 1.0 - size) > tol.eps_clamp
+    beyond = np.where(sheet, size - 1.0, 1.0 - size) > trig.EPS_CLAMP
     return angles, beyond.any(axis=1)
 
 
@@ -495,15 +495,15 @@ def coded_laws(family, sides, angles):
     return residuals, s[:, 3:] / s[:, :3], vanishing
 
 
-def coded_law_batch(vertices, tol):
+def coded_law_batch(vertices):
     """The columns of law_batch, by the family-coded kernel."""
     V = np.asarray(vertices, dtype=float).reshape(-1, 3, 3)
     with np.errstate(all="ignore"):
-        c = _classify_rows(V, tol)
+        c = _classify_rows(V)
         family = c.law
         hits = coded_vertex_hits(family, c.p)
         count = hits.sum(axis=1)
-        angles, angle_clamp = coded_angles(V, family, c.p, c.n2, tol)
+        angles, angle_clamp = coded_angles(V, family, c.p, c.n2)
         rows = np.arange(len(V))[:, None]
         order = _ORDERS[np.argmax(hits, axis=1)]
         sides, angles = c.lengths[rows, order], angles[rows, order]
@@ -518,10 +518,10 @@ def coded_law_batch(vertices, tol):
                 ratios=ratios, max_residual=max_residual, hits=count)
 
 
-def assert_kernel_matches_coded(V, tol=DEFAULT_TOL):
+def assert_kernel_matches_coded(V):
     """law_batch's statuses, families and hit counts on every row, and its
     float columns bit for bit on the OK rows, against the coded kernel."""
-    batch, coded = law_batch(V, tol), coded_law_batch(V, tol)
+    batch, coded = law_batch(V), coded_law_batch(V)
     for name in ("status", "family", "hits"):
         assert getattr(batch, name).tolist() == coded[name].tolist(), name
     ok = coded["status"] == OK
@@ -541,9 +541,15 @@ def _tempolateral_row(t1, t2):
             (-sh2 * math.cosh(0.5), math.cosh(t2), sh2 * math.sinh(0.5))]
 
 
-# With no degeneracy band and no clamp band, near-degenerate rows are measured
-# and reach the statuses sampled rows never do.
-NO_BANDS = Tolerances(eps_clamp=0.0, eps_degen=0.0)
+@contextlib.contextmanager
+def no_bands():
+    """No degeneracy band and no clamp band: near-degenerate rows are
+    measured and reach the statuses sampled rows never do.  Under the bands,
+    the CLAMP, NOT_UNIQUE and SINE rows read DEGENERATE."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triangles, "EPS_DEGEN", 0.0)
+        mp.setattr(trig, "EPS_CLAMP", 0.0)
+        yield
 STATUS_ROWS = {
     OFF_SURFACE: [NAN_ROW, INF_ROW, SCALED],
     DEGENERATE: [DEGENERATE_ROW],
@@ -573,7 +579,7 @@ STATUS_ROWS = {
 
 
 def status_batch(count, seed):
-    """A mixed batch of count rows holding every status under NO_BANDS."""
+    """A mixed batch of count rows holding every status under no_bands."""
     special = [row for rows in STATUS_ROWS.values() for row in rows]
     sampled = _sample_rows(SampleSpec(family="mixed", count=count - len(special),
                                       seed=seed))
@@ -584,18 +590,20 @@ def status_batch(count, seed):
 @pytest.mark.parametrize("seed", [52, 53])
 def test_mixed_batches_match_the_coded_kernel(seed):
     V = status_batch(1000, seed)
-    assert set(assert_kernel_matches_coded(V, NO_BANDS).tolist()) == set(range(OK + 1))
+    with no_bands():
+        assert set(assert_kernel_matches_coded(V).tolist()) == set(range(OK + 1))
+        for i in range(0, 40, 2):
+            assert_kernel_matches_coded(V[i:i + 2])
+        assert assert_kernel_matches_coded(V[:0]).shape == (0,)
     assert_kernel_matches_coded(V)
-    for i in range(0, 40, 2):
-        assert_kernel_matches_coded(V[i:i + 2], NO_BANDS)
-    assert assert_kernel_matches_coded(V[:0], NO_BANDS).shape == (0,)
     assert law_batch([]).status.shape == (0,)
 
 
 @pytest.mark.parametrize("status", sorted(STATUS_ROWS))
 def test_single_rows_match_the_coded_kernel(status):
     for row in STATUS_ROWS[status]:
-        assert assert_kernel_matches_coded(np.array([row]), NO_BANDS).tolist() == [status]
+        with no_bands():
+            assert assert_kernel_matches_coded(np.array([row])).tolist() == [status]
         assert_kernel_matches_coded(np.array([row]))
 
 
@@ -617,7 +625,7 @@ def test_handed_classification_equals_classifying_the_rows(family, count, seed):
     spec = SampleSpec(family=family, count=count, seed=seed)
     V, classes = _sample_classified(spec)
     assert np.array_equal(V, _sample_rows(spec))
-    again = _classify_rows(V, DEFAULT_TOL)
+    again = _classify_rows(V)
     for name, got, want in zip(_Rows._fields, classes, again):
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
@@ -634,9 +642,9 @@ def test_verify_sample_classifies_each_block_once(monkeypatch, capsys, family,
         blocks.append(size)
         return draw(rng, spec, size)
 
-    def counted(V, tol):
+    def counted(V):
         classified.append(len(V))
-        return classify(V, tol)
+        return classify(V)
 
     monkeypatch.setitem(samplers._MAKERS, family, drawn)
     for module in (samplers, trig):
@@ -667,22 +675,23 @@ def assert_same_fields(got, want):
 @pytest.mark.parametrize("family", ["mixed", *LAW_SAMPLES])
 def test_every_row_layout_gives_the_same_fields(family):
     if family == "mixed":
-        V, tol = status_batch(400, 57), NO_BANDS
+        V, bands = status_batch(400, 57), no_bands()
     else:
         V = _sample_rows(SampleSpec(family=family, count=300, seed=57))
-        tol = DEFAULT_TOL
+        bands = contextlib.nullcontext()
     assert V.flags.c_contiguous
     layouts = {
         "every other row": np.repeat(V, 2, axis=0)[::2],
         "Fortran order": np.asfortranarray(V),
         "rows last": np.ascontiguousarray(V.transpose(2, 1, 0)).transpose(2, 1, 0),
     }
-    with np.errstate(all="ignore"):  # the rows off the quadric
-        want = _classify_rows(V, tol)
-        for name, W in layouts.items():
-            assert np.array_equal(W, V, equal_nan=True), name
-            assert not W.flags.c_contiguous, name
-            assert_same_fields(_classify_rows(W, tol), want)
-    want = law_batch(V, tol)
-    for W in layouts.values():
-        assert_same_fields(law_batch(W, tol), want)
+    with bands:
+        with np.errstate(all="ignore"):  # the rows off the quadric
+            want = _classify_rows(V)
+            for name, W in layouts.items():
+                assert np.array_equal(W, V, equal_nan=True), name
+                assert not W.flags.c_contiguous, name
+                assert_same_fields(_classify_rows(W), want)
+        want = law_batch(V)
+        for W in layouts.values():
+            assert_same_fields(law_batch(W), want)

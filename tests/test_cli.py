@@ -4,12 +4,24 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minktrig import cli, samplers, surfaces, triangles, trig
-from minktrig.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
+from minktrig.cli import (
+    EXIT_CLOSED,
+    EXIT_DOMAIN,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_VERIFY,
+    MAX_COUNT,
+    main,
+)
 
 from conftest import SQRT2, vec
 
@@ -31,6 +43,9 @@ CHRONO = triangle_payload(
     (30 * SQRT2 / 41, 59 * SQRT2 / 82, 59 * SQRT2 / 82),
 )
 HYP = triangle_payload((SQRT2, 1, 0), (SQRT2, 0, 1), (SQRT2, -1, 0))
+CHORO = triangle_payload(*samplers._sample_rows(
+    samplers.SampleSpec(family="chorosceles", count=1, seed=0))[0].tolist())
+GEODESIC = json.dumps({"schema": "minktrig/1", "a": [0, 1, 0], "b": [0, 0, 1]})
 
 
 class TestClassify:
@@ -169,6 +184,16 @@ class TestVerify:
         code, _, err = run_cli(capsys, monkeypatch, ["verify"], stdin=CHRONO)
         assert code == EXIT_DOMAIN
         assert err.startswith("UnsupportedFamily")
+
+    @pytest.mark.parametrize("stdin, name", [
+        (CHRONO, "proper/chronosceles"),
+        (CHORO, "proper/chorosceles"),
+        (triangle_payload((1, 0, 0), (0, 1, 0), (0, 0, 1)), "strange"),
+    ])
+    def test_no_laws_error_names_the_class(self, capsys, monkeypatch, stdin, name):
+        code, _, err = run_cli(capsys, monkeypatch, ["verify"], stdin=stdin)
+        assert code == EXIT_DOMAIN
+        assert err == f"UnsupportedFamily: no trig laws for {name} triangles\n"
 
     @pytest.mark.parametrize("family", ["chorosceles", "lucilateral", "strange"])
     def test_unsupported_sampled_family_exit_3(self, capsys, monkeypatch, family):
@@ -612,3 +637,54 @@ class TestGeodesicOnce:
                                stdin=payload)
         assert (code, out) == (EXIT_OK, expected.getvalue())
         assert len(calls) == 1
+
+
+class TestCountCap:
+    @pytest.mark.parametrize("argv, option", [
+        (["verify", "--sample", "hyperbolic"], "--count"),
+        (["verify", "--sample", "mixed"], "--count"),
+        (["sample", "--family", "hyperbolic"], "--count"),
+        (["export-geodesic"], "--samples"),
+    ])
+    def test_counts_above_the_cap_exit_2(self, capsys, monkeypatch, argv, option):
+        # refused before any row or point is made
+        def allocate(*args, **kwargs):
+            raise AssertionError("allocated before the count check")
+
+        for name in ("_sample_rows", "_sample_classified"):
+            monkeypatch.setattr(cli, name, allocate)
+        monkeypatch.setattr(np, "linspace", allocate)
+        argv = argv + [option, str(MAX_COUNT + 1)]
+        code, out, err = run_cli(capsys, monkeypatch, argv, stdin=GEODESIC)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (f"input error: {option} must be at most 1000000, "
+                       f"got 1000001\n")
+
+    def test_the_cap_itself_is_accepted(self, capsys, monkeypatch):
+        counts = []
+
+        def record(spec):
+            counts.append(spec.count)
+            return np.zeros((0, 3, 3))
+
+        monkeypatch.setattr(cli, "_sample_rows", record)
+        argv = ["sample", "--family", "hyperbolic", "--count", str(MAX_COUNT)]
+        code, _, _ = run_cli(capsys, monkeypatch, argv)
+        assert (code, counts) == (EXIT_OK, [MAX_COUNT])
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # 2000 reports, about 760 KB, overfill the pipe buffer, so the writer
+    # meets the closed pipe whatever the timing
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "minktrig.cli", "verify", "--sample",
+            "tempolateral", "--count", "2000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.read(100).startswith(b'{"schema": "minktrig/1"')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_CLOSED
+    assert err == b""

@@ -31,7 +31,7 @@ from minktrig.mink import (
     minkowski_product,
     random_lorentz,
 )
-from minktrig.constants import DEFAULT_TOL
+from minktrig.constants import EPS_LIGHT
 from minktrig.samplers import sample_point
 from minktrig.surfaces import (
     Component,
@@ -61,15 +61,15 @@ def classify_vector(x: MVec3) -> CausalClass:
     if x == ZERO:
         return CausalClass.SPACELIKE
     q = minkowski_product(x, x)
-    if abs(q) <= DEFAULT_TOL.eps_light * euclid_dot(x, x):
+    if abs(q) <= EPS_LIGHT * euclid_dot(x, x):
         return CausalClass.LIGHTLIKE
     return CausalClass.TIMELIKE if q < 0.0 else CausalClass.SPACELIKE
 
 
 def det3(a: MVec3, b: MVec3, c: MVec3) -> float:
     """det(a, b, c) as the array classifier computes it for the row (a, b, c)."""
-    return float(_classify_rows(np.array([[a.as_tuple(), b.as_tuple(), c.as_tuple()]]),
-                                DEFAULT_TOL).det[0])
+    row = np.array([[a.as_tuple(), b.as_tuple(), c.as_tuple()]])
+    return float(_classify_rows(row).det[0])
 
 
 def is_lorentz(m) -> bool:

@@ -83,8 +83,9 @@ class TestSampleTriangle:
             _, sides = classify_triangle(t)
             assert sum(s.length for s in sides) > 2 * math.pi
 
-    def test_budget_exhaustion_reports_rate(self):
-        spec = SampleSpec(family="multiple", count=5, seed=35, rejection_budget=2)
+    def test_budget_exhaustion_reports_rate(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_REJECTION_BUDGET", 2)
+        spec = SampleSpec(family="multiple", count=5, seed=35)
         with pytest.raises(RejectionBudgetExhausted) as exc:
             sample_triangle(spec)
         assert exc.value.attempts == 2
@@ -115,11 +116,11 @@ class TestBlockSampling:
         ("hyperbolic", 5, 2),
         ("spatiolateral_contractible", 400, 500),
     ])
-    def test_budget_counts_candidates(self, family, count, budget):
+    def test_budget_counts_candidates(self, family, count, budget, monkeypatch):
         # about half the contractible candidates are accepted, so 500 cannot
         # give 400
-        spec = SampleSpec(family=family, count=count, seed=53,
-                          rejection_budget=budget)
+        monkeypatch.setattr(samplers, "_REJECTION_BUDGET", budget)
+        spec = SampleSpec(family=family, count=count, seed=53)
         with pytest.raises(RejectionBudgetExhausted) as exc:
             _sample_rows(spec)
         assert exc.value.attempts == budget
@@ -128,15 +129,15 @@ class TestBlockSampling:
     def test_blocks_stay_bounded_when_nothing_is_accepted(self, monkeypatch):
         # points this close to e1 make every side shorter than the 0.05 floor
         sizes = []
-        draw = samplers._MAKERS["hyperbolic"]
 
-        def recording(rng, spec, size):
+        def near_e1(rng, spec, size):
             sizes.append(size)
-            return draw(rng, spec, size)
+            return samplers._sheet(rng.uniform(0.0, 1e-4, (size, 3)),
+                                   rng.uniform(0.0, 2.0 * math.pi, (size, 3)))
 
-        monkeypatch.setitem(samplers._MAKERS, "hyperbolic", recording)
-        spec = SampleSpec(family="hyperbolic", count=5, seed=56, max_rapidity=1e-4,
-                          rejection_budget=300_000)
+        monkeypatch.setitem(samplers._MAKERS, "hyperbolic", near_e1)
+        monkeypatch.setattr(samplers, "_REJECTION_BUDGET", 300_000)
+        spec = SampleSpec(family="hyperbolic", count=5, seed=56)
         with pytest.raises(RejectionBudgetExhausted) as exc:
             _sample_rows(spec)
         assert (exc.value.attempts, exc.value.accepted) == (300_000, 0)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from minktrig.constants import DEFAULT_TOL
 from minktrig.errors import (
     AntipodalPoints,
     ClampError,
@@ -210,7 +209,7 @@ class TestSegmentKind:
             assert segment_kind(a, b) is kind
             # the array rule, on side c of the row (a, b, -e3)
             row = np.array([[a.coords.as_tuple(), b.coords.as_tuple(), (0, 0, -1)]])
-            side_c = _classify_rows(row, DEFAULT_TOL).kinds[0, 2]
+            side_c = _classify_rows(row).kinds[0, 2]
             assert list(SegmentKind)[side_c] is kind
         if d >= 1e-6:
             # arccos near 1 keeps about half the digits

@@ -14,7 +14,7 @@ from minktrig.polar import polar_triangle
 from minktrig.samplers import SampleSpec, sample_triangle
 from minktrig.surfaces import Component, distance, tangent_vector
 from minktrig.triangles import Triangle
-from minktrig.trig import SINE, LawFamily, law_batch, trig_report
+from minktrig.trig import _FAMILIES, _LAWS, SINE, LawFamily, law_batch, trig_report
 
 from conftest import SQRT2, vec
 
@@ -215,6 +215,35 @@ class TestDualityTransport:
                     math.cos(ps[j]) * math.cos(ps[k])
                     - math.cosh(sides[i]) * math.sin(ps[j]) * math.sin(ps[k])))
                 assert residual < 1e-9
+
+    # A hyperbolic triangle's polar is spatiolateral non-contractible, whose
+    # polar is hyperbolic again (criterion 4).  For each family: its polar's
+    # family, whether the polar sides are pi minus the angles (a' = pi -
+    # alpha, else a' = alpha), and whether the polar angles are pi minus the
+    # sides (alpha' = pi - a, else alpha' = a).
+    POLAR_SUBSTITUTIONS = {
+        LawFamily.HYP: (LawFamily.SPATIO_NC, True, False),
+        LawFamily.SPATIO_NC: (LawFamily.HYP, False, True),
+    }
+
+    @pytest.mark.parametrize("family", list(POLAR_SUBSTITUTIONS))
+    def test_angle_laws_follow_from_the_polar_side_laws(self, family):
+        # The polar's law of cosines for sides,
+        #     sc'(a') = p' sc'(b') sc'(c') + lcs'[a] ac'(alpha') ss'(b') ss'(c'),
+        # after the substitution, with cos(pi - x) = -cos x and
+        # sin(pi - x) = sin x, is the family's law of cosines for angles,
+        #     ac(alpha) = s1 p' ac(beta) ac(gamma)
+        #                 + s1 s2 lcs'[a] sc(a) as(beta) as(gamma),
+        # where s1 = -1 if the sides flip and s2 = -1 if the angles do.
+        polar, sides_flip, angles_flip = self.POLAR_SUBSTITUTIONS[family]
+        theirs = _LAWS[_FAMILIES.index(polar)].tolist()
+        # pi - x appears only in cos and sin, never in cosh and sinh
+        assert not (sides_flip and theirs[0]) and not (angles_flip and theirs[1])
+        s1, s2 = (-1.0 if flip else 1.0 for flip in (sides_flip, angles_flip))
+        derived = [theirs[0], s1 * theirs[2], *(s1 * s2 * x for x in theirs[4:7])]
+        own = _LAWS[_FAMILIES.index(family)].tolist()
+        # the angle function, lca_product and lca a, b, c columns
+        assert [own[1], own[3], *own[7:]] == derived
 
 
 class TestDegenerateLimits:
