@@ -14,7 +14,6 @@ from .errors import MinkTrigError
 from .mink import (
     MVec3,
     cross,
-    j_transform,
     minkowski_norm,
     minkowski_product,
     random_lorentz,

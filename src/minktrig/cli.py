@@ -5,16 +5,18 @@ error, 3 domain error, 4 verification failure (in --strict mode only).
 Infinite distances are serialized as the string "inf" since JSON has no
 infinity literal.
 
-Every command but verify builds its payload as a dict and writes it with
+classify, polar and sample build their payload as a dict and write it with
 json.dumps.  verify writes its reports as text read straight off the
 LawBatch columns, one %-template per row, formatting each distinct residual
 once; its bytes are those json.dumps would write for the same payload.
+export-geodesic evaluates each point from the segment's floats and writes
+each row as the reprs of its floats, the bytes csv.writer would write for
+them, a few thousand rows per write.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -184,12 +186,12 @@ def cmd_polar(args) -> int:
 
 
 def _verify_batch(args) -> LawBatch:
+    if args.sample and args.file:
+        raise InputError("--sample and --file are mutually exclusive")
+    count = _in_range(args.count, "--count", 1, MAX_COUNT)
+    seed = _in_range(args.seed, "--seed", 0)
     if args.sample:
-        if args.file:
-            raise InputError("--sample and --file are mutually exclusive")
-        count = _in_range(args.count, "--count", 1, MAX_COUNT)
-        spec = SampleSpec(family=args.sample, count=count,
-                          seed=_in_range(args.seed, "--seed", 0))
+        spec = SampleSpec(family=args.sample, count=count, seed=seed)
         if spec.family == "mixed":
             return law_batch(_sample_rows(spec))
         if spec.family not in _LAW_SAMPLES:
@@ -219,8 +221,8 @@ _FAMILY_REPORTS = tuple(
     _REPORT % (name, *["%s"] * 9, "%s" if f == _HYP else "null",
                "%s" if f in (_SPATIO_NC, _SPATIO_C) else "null", "%s", "%s")
     for f, name in enumerate(_LAW_NAMES))
-# Rows from which np.unique formats a batch's residuals faster than _number
-# on each one, and a batch of one law family is written from its own report.
+# Rows from which the numpy calls of _write_reports, np.unique over the
+# residuals among them, cost less than formatting each value of a list.
 _UNIQUE_ROWS = 4
 
 
@@ -258,45 +260,62 @@ def _write_reports(batch: LawBatch, bound: float) -> int:
     writes for it, and return the number of rows beyond the bound.
 
     The text is read straight off the batch's columns, one report per row.
-    The residuals are small multiples of an ulp, so a batch holds few
-    distinct ones: one np.unique over the seven residual columns finds them,
-    and each is formatted once.  np.unique takes 0.0 and -0.0 for one value,
-    so this relies on the residuals being absolute values, which never hold
-    -0.0.  A batch of one law family, as every sampled one is, fills in its
+    A batch of fewer than _UNIQUE_ROWS rows, as every stdin triangle is, reads
+    each column once as a list and formats its values one by one: a numpy
+    call per column costs more than that.  On larger batches the residuals
+    are small multiples of an ulp, so a batch holds few distinct ones: one
+    np.unique over the seven residual columns finds them, and each is
+    formatted once.  np.unique takes 0.0 and -0.0 for one value, so this
+    relies on the residuals being absolute values, which never hold -0.0.  A
+    large batch of one law family, as every sampled one is, fills in its
     family's report; the rows of other batches fill in _REPORT, with family
     names and sums read from tables.
     """
     n = len(batch.status)
     family, worst = batch.family, batch.max_residual
-    stacked = np.concatenate((batch.lcs.T, batch.lca.T, worst[None]))
     if n < _UNIQUE_ROWS:
-        residuals = [list(map(_number, column)) for column in stacked.tolist()]
+        worst = worst.tolist()
+        within = [w <= bound for w in worst]
+        report = _REPORT
+        columns = [
+            (_LAW_NAMES[f], *map(_number, lcs), *map(_number, lca),
+             *map(_number, ratios),
+             _number(angles[0] + angles[1] + angles[2]) if f == _HYP else "null",
+             _number(sides[0] + sides[1] + sides[2])
+             if f == _SPATIO_NC or f == _SPATIO_C else "null",
+             _number(w), _BOOL[ok])
+            for f, lcs, lca, ratios, angles, sides, w, ok in zip(
+                family.tolist(), batch.lcs.tolist(), batch.lca.tolist(),
+                batch.ratios.tolist(), batch.angles.tolist(), batch.sides.tolist(),
+                worst, within)]
     else:
+        stacked = np.concatenate((batch.lcs.T, batch.lca.T, worst[None]))
         unique, inverse = np.unique(stacked, return_inverse=True)
         text = map(float.__repr__ if np.isfinite(unique).all() else _number,
                    unique.tolist())
         residuals = np.array(list(text), dtype=object)[inverse.reshape(7, n)].tolist()
-    ratios = _floats(batch.ratios.T)
-    hyperbolic = family == _HYP
-    spatiolateral = (family == _SPATIO_NC) | (family == _SPATIO_C)
-    angle_sums = _sums(batch.angles, hyperbolic)
-    side_sums = _sums(batch.sides, spatiolateral)
-    within = (worst <= bound).tolist()
-    flags = map(_BOOL.__getitem__, within)
-    if n >= _UNIQUE_ROWS and family.min() == family.max():
-        report = _FAMILY_REPORTS[family[0]]
-        sums = [angle_sums] if hyperbolic[0] else [side_sums] if spatiolateral[0] else []
-        columns = zip(*residuals[:6], *ratios, *sums, residuals[6], flags)
-    else:
-        report = _REPORT
-        columns = zip(map(_LAW_NAMES.__getitem__, family.tolist()), *residuals[:6],
-                      *ratios, angle_sums, side_sums, residuals[6], flags)
+        ratios = _floats(batch.ratios.T)
+        hyperbolic = family == _HYP
+        spatiolateral = (family == _SPATIO_NC) | (family == _SPATIO_C)
+        angle_sums = _sums(batch.angles, hyperbolic)
+        side_sums = _sums(batch.sides, spatiolateral)
+        within = (worst <= bound).tolist()
+        worst = worst.tolist()
+        flags = map(_BOOL.__getitem__, within)
+        if family.min() == family.max():
+            report = _FAMILY_REPORTS[family[0]]
+            sums = ([angle_sums] if hyperbolic[0] else [side_sums] if spatiolateral[0]
+                    else [])
+            columns = zip(*residuals[:6], *ratios, *sums, residuals[6], flags)
+        else:
+            report = _REPORT
+            columns = zip(map(_LAW_NAMES.__getitem__, family.tolist()), *residuals[:6],
+                          *ratios, angle_sums, side_sums, residuals[6], flags)
     failures = within.count(False)
     write = sys.stdout.write
     write(_HEAD)
     write(", ".join(map(report.__mod__, columns)))
-    largest = max(worst.tolist(), default=0.0)
-    write(_TAIL % (n, _number(largest), failures, _number(bound)))
+    write(_TAIL % (n, _number(max(worst, default=0.0)), failures, _number(bound)))
     return failures
 
 
@@ -311,6 +330,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# Rows of export-geodesic's CSV per write: --samples may be MAX_COUNT, so the
+# text is never built whole.
+_CSV_ROWS = 4096
+
+
 def cmd_export_geodesic(args) -> int:
     samples = _in_range(args.samples, "--samples", 2, MAX_COUNT)
     data = _load_json(args)
@@ -323,12 +347,17 @@ def cmd_export_geodesic(args) -> int:
     except MinkTrigError as exc:
         raise InputError(str(exc))
 
-    end, point = _segment(a, b)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["x1", "x2", "x3", "t"])
-    for t in np.linspace(0.0, end, samples):
-        p = point(float(t))
-        writer.writerow([repr(p.x1), repr(p.x2), repr(p.x3), repr(float(t))])
+    _, end, (a1, a2, a3), (x1, x2, x3), c, s = _segment(a, b)
+    t = np.linspace(0.0, end, samples)
+    write = sys.stdout.write
+    write("x1,x2,x3,t\r\n")
+    for first in range(0, samples, _CSV_ROWS):
+        rows = []
+        for tk in t[first:first + _CSV_ROWS].tolist():
+            ck, sk = c(tk), s(tk)
+            rows.append(f"{ck * a1 + sk * x1!r},{ck * a2 + sk * x2!r},"
+                        f"{ck * a3 + sk * x3!r},{tk!r}\r\n")
+        write("".join(rows))
     return EXIT_OK
 
 
@@ -342,8 +371,9 @@ def cmd_sample(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on first use and reused for every later call."""
+def _build_parser() -> tuple:
+    """The CLI parser and its table of command parsers by name, built on
+    first use and reused for every later call."""
     parser = argparse.ArgumentParser(
         prog="minktrig",
         description="Trigonometry on the de Sitter surface and hyperbolic plane",
@@ -385,11 +415,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """argv parsed as the full parser parses it.
+
+    A command's arguments go straight to its own parser, as argparse's
+    subparser action passes them, without the top-level pass.  The full parser
+    takes the rest: no arguments, a first argument that is not a command, and
+    arguments left over, so that every usage message is argparse's own.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command and return its exit code; argv defaults to
+    sys.argv[1:].  A usage error returns 2, and -h returns 0, once argparse
+    has written its message."""
+    if argv is None:
+        argv = sys.argv[1:]
+    try:
+        args = _parse(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         code = args.func(args)
         sys.stdout.flush()

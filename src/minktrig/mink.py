@@ -81,11 +81,6 @@ def cross(x: MVec3, y: MVec3) -> MVec3:
     )
 
 
-def j_transform(x: MVec3) -> MVec3:
-    """Negate the time component.  An involution and a Lorentz transformation."""
-    return MVec3(-x.x1, x.x2, x.x3)
-
-
 def apply_matrix(m: np.ndarray, x: MVec3) -> MVec3:
     return MVec3.from_array(np.asarray(m) @ x.as_array())
 
@@ -95,26 +90,23 @@ def _rotation_e1(theta: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def boost_e1_e2(rapidity: float) -> np.ndarray:
-    """Pure boost in the e1-e2 plane; maps e1 to (cosh t, sinh t, 0)."""
-    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
-    return np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
-
-
 def random_lorentz(
     rng: np.random.Generator,
     orthochronous: bool = True,
     max_rapidity: float = 3.0,
 ) -> np.ndarray:
-    """Rotation-boost-rotation Lorentz matrix with bounded rapidity.
+    """Rotation-boost-rotation Lorentz matrix with bounded rapidity; the
+    rotations turn the x2-x3 plane and the boost acts in the e1-e2 plane.
 
     With ``orthochronous`` the (1,1) entry is >= 1, so the forward hyperboloid
     sheet is preserved.
     """
     r1 = _rotation_e1(rng.uniform(0.0, 2.0 * math.pi))
     r2 = _rotation_e1(rng.uniform(0.0, 2.0 * math.pi))
-    b = boost_e1_e2(rng.uniform(0.0, max_rapidity))
-    m = r1 @ b @ r2
+    rapidity = rng.uniform(0.0, max_rapidity)
+    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+    boost = np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
+    m = r1 @ boost @ r2
     if not orthochronous and rng.random() < 0.5:
         m = J_MATRIX @ m
     return m

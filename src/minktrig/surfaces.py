@@ -208,34 +208,37 @@ def tangent_vector(a: SurfacePoint, b: SurfacePoint) -> MVec3:
     return _tangent(a, b, side)
 
 
-def _segment(a: SurfacePoint, b: SurfacePoint):
-    """The segment from a to b as (end, point): t runs over [0, end], and
-    point(t) is the point at t.  The side and the tangent are built once, for
-    any number of points."""
+def _one(t: float) -> float:
+    return 1.0
+
+
+def _identity(t: float) -> float:
+    return t
+
+
+def _segment(a: SurfacePoint, b: SurfacePoint) -> tuple:
+    """The geodesic segment from a to b as floats, (point, end, A, X, c, s),
+    its side and tangent built once for any number of points.
+
+    t runs over [0, end], or is 0 only where point, a = b, holds; the point at
+    t is c(t)*A + s(t)*X.  (c, s) is (cos, sin) on a spacelike segment, (cosh,
+    sinh) on a timelike or hyperbolic one and (1, t) on a lightlike one, whose
+    X is b - a.  A single point is A + 1*X with X = -0, which adds -0.0 to
+    each coordinate of A and so keeps it to the bit.
+    """
     side = _side(a, b)
     kind = side.kind
     if kind is SegmentKind.EMPTY:
         raise EmptySegment("no segment joins antipodal or infinitely separated points")
-    A = a.coords
+    A = a.coords.as_tuple()
     if kind is SegmentKind.POINT:
-        def point(t: float) -> MVec3:
-            if t != 0.0:
-                raise ParamOutOfRange("the segment of a single point has t = 0 only")
-            return A
-        return 0.0, point
-
-    T = 1.0 if kind is SegmentKind.DE_SITTER_LIGHTLIKE else side.length
-    X = _tangent(a, b, side)
-
-    def point(t: float) -> MVec3:
-        if t < -EPS_CLAMP or t > T + EPS_CLAMP:
-            raise ParamOutOfRange(f"t = {t} outside [0, {T}]")
-        if kind is SegmentKind.DE_SITTER_LIGHTLIKE:
-            return A + t * X
-        if kind is SegmentKind.DE_SITTER_SPACELIKE:
-            return math.cos(t) * A + math.sin(t) * X
-        return math.cosh(t) * A + math.sinh(t) * X
-    return T, point
+        return True, 0.0, A, (-0.0, -0.0, -0.0), _one, _one
+    X = _tangent(a, b, side).as_tuple()
+    if kind is SegmentKind.DE_SITTER_LIGHTLIKE:
+        return False, 1.0, A, X, _one, _identity
+    if kind is SegmentKind.DE_SITTER_SPACELIKE:
+        return False, side.length, A, X, math.cos, math.sin
+    return False, side.length, A, X, math.cosh, math.sinh
 
 
 def segment_point(a: SurfacePoint, b: SurfacePoint, t: float) -> MVec3:
@@ -244,8 +247,14 @@ def segment_point(a: SurfacePoint, b: SurfacePoint, t: float) -> MVec3:
     t runs over [0, 1] for lightlike segments, [0, distance] otherwise;
     endpoints map to a and b exactly up to roundoff.
     """
-    _, point = _segment(a, b)
-    return point(t)
+    point, end, (a1, a2, a3), (x1, x2, x3), c, s = _segment(a, b)
+    if point:
+        if t != 0.0:
+            raise ParamOutOfRange("the segment of a single point has t = 0 only")
+    elif t < -EPS_CLAMP or t > end + EPS_CLAMP:
+        raise ParamOutOfRange(f"t = {t} outside [0, {end}]")
+    ct, st = c(t), s(t)
+    return MVec3(ct * a1 + st * x1, ct * a2 + st * x2, ct * a3 + st * x3)
 
 
 def _check_legs(kinds: tuple) -> SegmentKind:

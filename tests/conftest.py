@@ -19,6 +19,11 @@ def vec(x1, x2, x3):
     return MVec3(float(x1), float(x2), float(x3))
 
 
+def j_transform(x: MVec3) -> MVec3:
+    """Negate the time component.  An involution and a Lorentz transformation."""
+    return MVec3(-x.x1, x.x2, x.x3)
+
+
 # verdict lines recorded by the acceptance suite, echoed after capture ends
 ACCEPTANCE_LINES = []
 

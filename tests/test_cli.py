@@ -340,12 +340,37 @@ class TestSample:
         ["sample", "--family", "hyperbolic", "--count", "1", "--seed", "-1"],
         ["verify", "--sample", "hyperbolic", "--count", "1", "--seed", "-1"],
         ["verify", "--sample", "mixed", "--count", "1", "--seed", "-5"],
+        ["verify", "--seed", "-1"],  # a stdin triangle, which has no seed
     ])
     def test_negative_seed_exit_2(self, capsys, monkeypatch, argv):
-        code, out, err = run_cli(capsys, monkeypatch, argv)
+        code, out, err = run_cli(capsys, monkeypatch, argv, stdin=HYP)
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("input error: --seed must be at least 0")
+
+
+# Argument lists for the command-parser dispatch: each command bare, with -h,
+# with each of its options and with all of them, and the lists only the full
+# parser reads: none, an unknown command, an option before the command, and
+# arguments left over or misspelt.
+COMMON_OPTIONS = [["--file", "in.json"], ["--strict"], ["--tolerance", "1e-3"]]
+OWN_OPTIONS = {
+    "classify": [], "polar": [],
+    "verify": [["--sample", "hyperbolic"], ["--count", "5"], ["--seed", "2"]],
+    "export-geodesic": [["--samples", "7"]],
+    "sample": [["--count", "5"], ["--seed", "2"]],
+}
+DISPATCH_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["--strict", "classify"], ["verify", "extra"],
+    ["verify", "--samp", "hyperbolic"], ["verify", "--count", "many"],
+    ["export-geodesic", "--samples", "3", "--samples", "4"], ["classify", "--", "x"],
+    ["sample"], ["sample", "--family", "euclidean"],
+]
+for _command, _own in OWN_OPTIONS.items():
+    _head = [_command] + (["--family", "hyperbolic"] if _command == "sample" else [])
+    DISPATCH_ARGVS += [_head, [_command, "-h"],
+                       *(_head + option for option in COMMON_OPTIONS + _own),
+                       _head + [a for option in COMMON_OPTIONS + _own for a in option]]
 
 
 class TestProcess:
@@ -369,10 +394,30 @@ class TestProcess:
             (["sample", "--family", "euclidean"], "invalid choice: 'euclidean'"),
             ([], "the following arguments are required: command"),
         ):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
+            assert main(argv) == 2  # argparse's status, returned
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS,
+                             ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_command_parsers_parse_as_the_full_parser(self, capsys, argv):
+        parser, _ = cli._build_parser()
+        try:
+            expected, code = parser.parse_args(argv), None
+        except SystemExit as exc:
+            expected, code = None, exc.code
+        written = capsys.readouterr()
+        if code is None:
+            assert cli._parse(argv) == expected
+        else:
+            assert main(argv) == code
+        assert capsys.readouterr() == written
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["sample", "--family", "hyperbolic", "--count", "2", "--seed", "1"]
+        expected = run_cli(capsys, monkeypatch, argv)
+        monkeypatch.setattr(sys, "argv", ["minktrig", *argv])
+        assert run_cli(capsys, monkeypatch, None) == expected
+        assert expected[0] == EXIT_OK
 
     @pytest.mark.parametrize("command", ["classify", "polar", "verify"])
     @pytest.mark.parametrize("raw, via_file", [
@@ -609,8 +654,9 @@ class TestGeodesicOnce:
         ((0, 1, 0), (0.75, 1.25, 0)),  # timelike
         ((0, 1, 0), (1, 1, 1)),  # lightlike
         ((0, 1, 0), (0, 1, 0)),  # a point
+        ((0, -0.0, 1), (0, -0.0, 1)),  # a point with a -0.0 coordinate
     ])
-    @pytest.mark.parametrize("samples", [2, 16])
+    @pytest.mark.parametrize("samples", [2, 16, 1000])
     def test_csv_matches_segment_point(self, capsys, monkeypatch, a, b, samples):
         pa, pb = surfaces.surface_point(vec(*a)), surfaces.surface_point(vec(*b))
         kind = surfaces.segment_kind(pa, pb)
@@ -645,17 +691,19 @@ class TestCountCap:
         (["verify", "--sample", "mixed"], "--count"),
         (["sample", "--family", "hyperbolic"], "--count"),
         (["export-geodesic"], "--samples"),
+        (["verify"], "--count"),  # a stdin triangle, which has no count
     ])
     def test_counts_above_the_cap_exit_2(self, capsys, monkeypatch, argv, option):
         # refused before any row or point is made
         def allocate(*args, **kwargs):
             raise AssertionError("allocated before the count check")
 
-        for name in ("_sample_rows", "_sample_classified"):
+        for name in ("_sample_rows", "_sample_classified", "law_batch"):
             monkeypatch.setattr(cli, name, allocate)
         monkeypatch.setattr(np, "linspace", allocate)
         argv = argv + [option, str(MAX_COUNT + 1)]
-        code, out, err = run_cli(capsys, monkeypatch, argv, stdin=GEODESIC)
+        stdin = GEODESIC if argv[0] == "export-geodesic" else HYP
+        code, out, err = run_cli(capsys, monkeypatch, argv, stdin=stdin)
         assert (code, out) == (EXIT_INPUT, "")
         assert err == (f"input error: {option} must be at most 1000000, "
                        f"got 1000001\n")

@@ -4,7 +4,9 @@ documented exit code, never an exception."""
 import io
 import json
 import math
+import os
 import sys
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,3 +89,17 @@ def run(argv, raw: bytes) -> int:
 @given(argvs(), STDIN)
 def test_every_input_ends_in_a_documented_exit(argv, raw):
     assert run(argv, raw) in EXITS
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["classify", "polar", "verify", "export-geodesic"]),
+       st.booleans(), STDIN)
+def test_every_file_ends_in_a_documented_exit(command, strict, raw):
+    # a directory per example: a function-scoped fixture would be shared by
+    # every example hypothesis draws
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "input.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        argv = [command, "--file", path] + (["--strict"] if strict else [])
+        assert run(argv, b"") in EXITS

@@ -1,10 +1,10 @@
 """Bilinear form, causal classification, Lorentz utilities, plane classification.
 
 A segment's plane class is read off the Gram rule in ``surfaces``.  The
-causal class of a vector, the Lorentz-orthogonal basis and the Lorentz-matrix
-predicate below are test oracles, kept here because nothing in the package
-needs them.  The determinant is the one the triangle classifier reads its
-degeneracy and the polar sign off.
+causal class of a vector, the Lorentz-orthogonal basis, the e1-e2 boost and
+the Lorentz-matrix predicate below, and conftest's J map, are test oracles,
+kept here because nothing in the package needs them.  The determinant is the
+one the triangle classifier reads its degeneracy and the polar sign off.
 """
 
 import math
@@ -23,10 +23,8 @@ from minktrig.mink import (
     J_MATRIX,
     MVec3,
     apply_matrix,
-    boost_e1_e2,
     cross,
     euclid_dot,
-    j_transform,
     minkowski_norm,
     minkowski_product,
     random_lorentz,
@@ -42,7 +40,7 @@ from minktrig.surfaces import (
 )
 from minktrig.triangles import _classify_rows
 
-from conftest import SQRT2, vec
+from conftest import SQRT2, j_transform, vec
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 vectors = st.builds(MVec3, coords, coords, coords)
@@ -70,6 +68,12 @@ def det3(a: MVec3, b: MVec3, c: MVec3) -> float:
     """det(a, b, c) as the array classifier computes it for the row (a, b, c)."""
     row = np.array([[a.as_tuple(), b.as_tuple(), c.as_tuple()]])
     return float(_classify_rows(row).det[0])
+
+
+def boost_e1_e2(rapidity: float) -> np.ndarray:
+    """Pure boost in the e1-e2 plane; maps e1 to (cosh t, sinh t, 0)."""
+    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+    return np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
 
 
 def is_lorentz(m) -> bool:

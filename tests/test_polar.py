@@ -5,7 +5,7 @@ import math
 import pytest
 
 from minktrig.errors import PolarNonExistent
-from minktrig.mink import j_transform, minkowski_product
+from minktrig.mink import minkowski_product
 from minktrig.polar import (
     REASON_LIGHTLIKE,
     REASON_OPPOSITE,
@@ -19,7 +19,7 @@ from minktrig.samplers import SampleSpec, sample_triangle
 from minktrig.surfaces import angle, distance, surface_point
 from minktrig.triangles import Triangle, classify_triangle
 
-from conftest import SQRT2, SQRT3, vec
+from conftest import SQRT2, SQRT3, j_transform, vec
 
 
 def tri(*vecs):

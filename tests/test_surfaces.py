@@ -304,6 +304,35 @@ class TestSegmentPoint:
         with pytest.raises(EmptySegment):
             segment_point(sp(0, 1, 0), sp(0, -1, 0), 0.0)
 
+    @pytest.mark.parametrize("a, b", [
+        ((SQRT2, 1, 0), (SQRT2, 0, 1)),  # hyperbolic
+        ((-SQRT2, 1, 0), (-SQRT2, 0, 1)),  # antipodal hyperbolic
+        ((-0.0, -1, 0), (0, -0.6, -0.8)),  # spacelike
+        ((0, 1, 0), (0.75, 1.25, 0)),  # timelike
+        ((0, 1, 0), (1, 1, 1)),  # lightlike
+        ((0, -0.0, 1), (0, -0.0, 1)),  # a point
+    ])
+    def test_floats_match_the_vector_formula(self, a, b):
+        # the geodesic as MVec3 arithmetic on tangent_vector is the
+        # reference, to the bit, -0.0 included
+        a, b = sp(*a), sp(*b)
+        kind = segment_kind(a, b)
+        if kind is SegmentKind.POINT:
+            assert repr(segment_point(a, b, 0.0)) == repr(a.coords)
+            with pytest.raises(ParamOutOfRange):
+                segment_point(a, b, 5e-324)
+            return
+        A, X = a.coords, tangent_vector(a, b)
+        lightlike = kind is SegmentKind.DE_SITTER_LIGHTLIKE
+        for t in np.linspace(0.0, 1.0 if lightlike else distance(a, b), 9).tolist():
+            if lightlike:
+                expected = A + t * X
+            elif kind is SegmentKind.DE_SITTER_SPACELIKE:
+                expected = math.cos(t) * A + math.sin(t) * X
+            else:
+                expected = math.cosh(t) * A + math.sinh(t) * X
+            assert repr(segment_point(a, b, t)) == repr(expected)
+
     def test_lorentz_equivariance(self, rng):
         a = sp(1, 0, 0)
         b = sp(math.cosh(1.2), math.sinh(1.2), 0)
