@@ -3,23 +3,17 @@
 The package works in the hyperboloid model of 3-dimensional Minkowski space:
 the unit quadric under the product -x1*y1 + x2*y2 + x3*y3 splits into two
 hyperbolic sheets and the de Sitter surface between them.  Modules provide
-the indefinite product and Lorentz maps (`mink`), distances, segments, and
-angles (`surfaces`), the triangle taxonomy (`triangles`), polar duality
-(`polar`), the laws of cosines and sines (`trig`), and seeded generators with
-numerical oracles (`samplers`).
+the indefinite product (`mink`), distances, segments, and angles
+(`surfaces`), the triangle taxonomy (`triangles`), polar duality (`polar`),
+the laws of cosines and sines (`trig`), and seeded triangle generators
+(`samplers`).
 """
 
 from .constants import DEFAULT_RESIDUAL_BOUND
 from .errors import MinkTrigError
-from .mink import (
-    MVec3,
-    cross,
-    minkowski_norm,
-    minkowski_product,
-    random_lorentz,
-)
+from .mink import MVec3, cross, minkowski_norm, minkowski_product
 from .polar import PolarResult, polar_triangle, predict_polar_type
-from .samplers import SampleSpec, arc_length_oracle, sample_point, sample_triangle
+from .samplers import SampleSpec, sample_triangle
 from .surfaces import (
     Component,
     SegmentKind,

@@ -5,6 +5,13 @@ error, 3 domain error, 4 verification failure (in --strict mode only).
 Infinite distances are serialized as the string "inf" since JSON has no
 infinity literal.
 
+Each command takes only the options it reads.  classify, polar, verify and
+export-geodesic read one JSON object from stdin or --file, and --strict
+refuses its unknown fields.  verify adds --tolerance, the residual bound (with
+--strict, a report beyond it exits 4), and --sample, --count and --seed to
+verify sampled triangles instead; export-geodesic adds --samples.  sample
+reads no input and takes --family, --count and --seed.
+
 classify, polar and sample build their payload as a dict and write it with
 json.dumps.  verify writes its reports as text read straight off the
 LawBatch columns, one %-template per row, formatting each distinct residual
@@ -226,11 +233,8 @@ _FAMILY_REPORTS = tuple(
 _UNIQUE_ROWS = 4
 
 
-def _number(x: Optional[float]) -> str:
-    """A float or None as _emit writes it: its repr, "inf" for either
-    infinity, NaN, null."""
-    if x is None:
-        return "null"
+def _number(x: float) -> str:
+    """A float as _emit writes it: its repr, "inf" for either infinity, NaN."""
     if x - x == 0.0:  # finite
         return repr(x)
     return "NaN" if x != x else '"inf"'
@@ -244,36 +248,24 @@ def _floats(x) -> list:
     return [[v if v - v == 0.0 else _number(v) for v in row] for row in x.tolist()]
 
 
-def _sums(x, applies) -> list:
-    """The %s arguments of the sums of the rows of x, shape (N, 3), null
-    where applies is False."""
-    if not applies.any():
-        return ["null"] * len(x)
-    (values,) = _floats((x[:, 0] + x[:, 1] + x[:, 2])[None])
-    if applies.all():
-        return values
-    return [v if a else "null" for v, a in zip(values, applies.tolist())]
-
-
 def _write_reports(batch: LawBatch, bound: float) -> int:
     """Write the verify payload of the batch's rows, byte for byte what _emit
     writes for it, and return the number of rows beyond the bound.
 
     The text is read straight off the batch's columns, one report per row.
-    A batch of fewer than _UNIQUE_ROWS rows, as every stdin triangle is, reads
-    each column once as a list and formats its values one by one: a numpy
-    call per column costs more than that.  On larger batches the residuals
-    are small multiples of an ulp, so a batch holds few distinct ones: one
-    np.unique over the seven residual columns finds them, and each is
-    formatted once.  np.unique takes 0.0 and -0.0 for one value, so this
-    relies on the residuals being absolute values, which never hold -0.0.  A
-    large batch of one law family, as every sampled one is, fills in its
-    family's report; the rows of other batches fill in _REPORT, with family
-    names and sums read from tables.
+    A batch of fewer than _UNIQUE_ROWS rows, as every stdin triangle is, or of
+    more than one law family, reads each column once as a list and formats
+    its values one by one into _REPORT: a numpy call per column costs more
+    than that.  A larger batch of one law family, as every sampled one is,
+    fills in its family's report.  Its residuals are small multiples of an
+    ulp, so it holds few distinct ones: one np.unique over the seven residual
+    columns finds them, and each is formatted once.  np.unique takes 0.0 and
+    -0.0 for one value, so this relies on the residuals being absolute
+    values, which never hold -0.0.
     """
     n = len(batch.status)
     family, worst = batch.family, batch.max_residual
-    if n < _UNIQUE_ROWS:
+    if n < _UNIQUE_ROWS or family.min() != family.max():
         worst = worst.tolist()
         within = [w <= bound for w in worst]
         report = _REPORT
@@ -294,23 +286,16 @@ def _write_reports(batch: LawBatch, bound: float) -> int:
         text = map(float.__repr__ if np.isfinite(unique).all() else _number,
                    unique.tolist())
         residuals = np.array(list(text), dtype=object)[inverse.reshape(7, n)].tolist()
-        ratios = _floats(batch.ratios.T)
-        hyperbolic = family == _HYP
-        spatiolateral = (family == _SPATIO_NC) | (family == _SPATIO_C)
-        angle_sums = _sums(batch.angles, hyperbolic)
-        side_sums = _sums(batch.sides, spatiolateral)
+        f = family[0]
+        summed = (batch.angles if f == _HYP
+                  else batch.sides if f == _SPATIO_NC or f == _SPATIO_C else None)
+        sums = [] if summed is None else _floats(
+            (summed[:, 0] + summed[:, 1] + summed[:, 2])[None])
         within = (worst <= bound).tolist()
         worst = worst.tolist()
-        flags = map(_BOOL.__getitem__, within)
-        if family.min() == family.max():
-            report = _FAMILY_REPORTS[family[0]]
-            sums = ([angle_sums] if hyperbolic[0] else [side_sums] if spatiolateral[0]
-                    else [])
-            columns = zip(*residuals[:6], *ratios, *sums, residuals[6], flags)
-        else:
-            report = _REPORT
-            columns = zip(map(_LAW_NAMES.__getitem__, family.tolist()), *residuals[:6],
-                          *ratios, angle_sums, side_sums, residuals[6], flags)
+        report = _FAMILY_REPORTS[f]
+        columns = zip(*residuals[:6], *_floats(batch.ratios.T), *sums, residuals[6],
+                      map(_BOOL.__getitem__, within))
     failures = within.count(False)
     write = sys.stdout.write
     write(_HEAD)
@@ -380,23 +365,24 @@ def _build_parser() -> tuple:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def reader(p):
         p.add_argument("--file", help="read input JSON from a file instead of stdin")
         p.add_argument("--strict", action="store_true",
-                       help="reject unknown fields; fail verification with exit 4")
-        p.add_argument("--tolerance", type=float, default=DEFAULT_RESIDUAL_BOUND,
-                       help="residual bound for verification reports")
+                       help="reject unknown fields; verify also exits 4 on a failed "
+                       "report")
 
     p = sub.add_parser("classify", help="classify a triangle")
-    common(p)
+    reader(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("polar", help="compute the polar triangle")
-    common(p)
+    reader(p)
     p.set_defaults(func=cmd_polar)
 
     p = sub.add_parser("verify", help="evaluate all applicable trig laws")
-    common(p)
+    reader(p)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_RESIDUAL_BOUND,
+                   help="residual bound for verification reports")
     p.add_argument("--sample", choices=sorted(FAMILIES),
                    help="verify sampled triangles instead of reading input")
     p.add_argument("--count", type=int, default=100)
@@ -404,12 +390,11 @@ def _build_parser() -> tuple:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-geodesic", help="export a geodesic polyline as CSV")
-    common(p)
+    reader(p)
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(func=cmd_export_geodesic)
 
     p = sub.add_parser("sample", help="generate triangles of a given family")
-    common(p)
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)

@@ -29,10 +29,6 @@ class EmptySegment(MinkTrigError):
     pass
 
 
-class LightlikeSegment(MinkTrigError):
-    pass
-
-
 class MixedSegmentKinds(MinkTrigError):
     pass
 

@@ -1,4 +1,4 @@
-"""Seeded random generation of points, segments, and triangles by family.
+"""Seeded random generation of triangles by family.
 
 Every family is sampled the same way, by ``_blocks``: candidate rows are
 drawn in blocks, each sized from the rows still needed, classified once by
@@ -25,24 +25,8 @@ from typing import List
 
 import numpy as np
 
-from .errors import (
-    EmptySegment,
-    LightlikeSegment,
-    MinkTrigError,
-    ParamOutOfRange,
-    RejectionBudgetExhausted,
-    UnsupportedFamily,
-)
+from .errors import ParamOutOfRange, RejectionBudgetExhausted, UnsupportedFamily
 from .mink import MVec3
-from .surfaces import (
-    Component,
-    SegmentKind,
-    SurfacePoint,
-    distance,
-    segment_kind,
-    surface_point,
-    tangent_vector,
-)
 from .triangles import (
     _DE_SITTER,
     _EMPTY,
@@ -90,26 +74,6 @@ class SampleSpec:
             raise ParamOutOfRange(f"count must be at least 1, got {self.count}")
         if self.seed < 0:
             raise ParamOutOfRange(f"seed must be at least 0, got {self.seed}")
-
-
-def sample_point(
-    component: Component,
-    rng: np.random.Generator,
-    max_rapidity: float = 3.0,
-) -> SurfacePoint:
-    """Point on the requested component, uniform in (rapidity, angle) parameters."""
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    if component is Component.DE_SITTER:
-        v = rng.uniform(-max_rapidity, max_rapidity)
-        x = MVec3(math.sinh(v), math.cosh(v) * math.cos(theta),
-                  math.cosh(v) * math.sin(theta))
-    else:
-        u = rng.uniform(0.0, max_rapidity)
-        x = MVec3(math.cosh(u), math.sinh(u) * math.cos(theta),
-                  math.sinh(u) * math.sin(theta))
-        if component is Component.NEG_H2:
-            x = -x
-    return surface_point(x)
 
 
 def sample_triangle(spec: SampleSpec) -> List[Triangle]:
@@ -191,8 +155,8 @@ def _rotations(theta):
 
 
 def _lorentz_rows(rng, size: int):
-    """Stacked rotation-boost-rotation maps of rapidity at most 1, as
-    mink.random_lorentz draws them."""
+    """Stacked rotation-boost-rotation maps of rapidity at most 1: rotations
+    in the x2-x3 plane around a boost in the e1-e2 plane."""
     r1 = _rotations(rng.uniform(0.0, 2.0 * math.pi, size))
     r2 = _rotations(rng.uniform(0.0, 2.0 * math.pi, size))
     eta = rng.uniform(0.0, 1.0, size)
@@ -377,67 +341,3 @@ def _blocks(spec: SampleSpec):
         keep = np.flatnonzero(_accept_rows(spec, c))[:need]
         accepted += len(keep)
         yield V, c, keep
-
-
-def sample_segment(kind: SegmentKind, rng: np.random.Generator) -> tuple:
-    """Endpoint pair whose segment has the requested kind."""
-    targets = {
-        SegmentKind.HYPERBOLIC: Component.H2,
-        SegmentKind.ANTIPODAL_HYPERBOLIC: Component.NEG_H2,
-        SegmentKind.DE_SITTER_SPACELIKE: Component.DE_SITTER,
-        SegmentKind.DE_SITTER_TIMELIKE: Component.DE_SITTER,
-    }
-    if kind not in targets:
-        raise UnsupportedFamily(f"cannot sample segments of kind {kind}")
-    comp = targets[kind]
-    cap = 1.5
-    for _ in range(100_000):
-        a = sample_point(comp, rng, cap)
-        b = sample_point(comp, rng, cap)
-        try:
-            k = segment_kind(a, b)
-        except MinkTrigError:
-            continue
-        if k is kind:
-            d = distance(a, b)
-            if 0.05 < d < (math.pi - 0.05 if k is SegmentKind.DE_SITTER_SPACELIKE
-                           else math.inf):
-                return a, b
-    raise RejectionBudgetExhausted(kind.value, 100_000, 0)
-
-
-def arc_length_oracle(
-    a: SurfacePoint, b: SurfacePoint, steps: int = 10_000
-) -> float:
-    """Composite-Simpson integral of the segment's speed, via finite differences.
-
-    Independent of the closed-form distance: the curve is evaluated from its
-    parametrization, the derivative numerically, and the length by quadrature.
-    """
-    kind = segment_kind(a, b)
-    if kind in (SegmentKind.EMPTY, SegmentKind.POINT):
-        raise EmptySegment("oracle needs a non-empty, non-trivial segment")
-    if kind is SegmentKind.DE_SITTER_LIGHTLIKE:
-        raise LightlikeSegment("lightlike segments have zero length by definition")
-    if steps % 2:
-        steps += 1
-
-    T = distance(a, b)
-    A = a.coords.as_array()
-    X = tangent_vector(a, b).as_array()
-    spacelike = kind is SegmentKind.DE_SITTER_SPACELIKE
-
-    def gamma(ts: np.ndarray) -> np.ndarray:
-        if spacelike:
-            return np.outer(np.cos(ts), A) + np.outer(np.sin(ts), X)
-        return np.outer(np.cosh(ts), A) + np.outer(np.sinh(ts), X)
-
-    ts = np.linspace(0.0, T, steps + 1)
-    h = 1e-6 * max(T, 1.0)
-    dg = (gamma(ts + h) - gamma(ts - h)) / (2.0 * h)
-    q = -dg[:, 0] ** 2 + dg[:, 1] ** 2 + dg[:, 2] ** 2
-    speed = np.sqrt(np.abs(q))
-    w = np.ones(steps + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float((T / steps) / 3.0 * np.dot(w, speed))

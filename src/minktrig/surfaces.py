@@ -55,14 +55,6 @@ class SurfacePoint:
     coords: MVec3
     component: Component
 
-    def negated(self) -> "SurfacePoint":
-        flip = {
-            Component.H2: Component.NEG_H2,
-            Component.NEG_H2: Component.H2,
-            Component.DE_SITTER: Component.DE_SITTER,
-        }
-        return SurfacePoint(-self.coords, flip[self.component])
-
 
 @dataclass(frozen=True)
 class OffSurface:
@@ -251,7 +243,7 @@ def segment_point(a: SurfacePoint, b: SurfacePoint, t: float) -> MVec3:
     if point:
         if t != 0.0:
             raise ParamOutOfRange("the segment of a single point has t = 0 only")
-    elif t < -EPS_CLAMP or t > end + EPS_CLAMP:
+    elif not -EPS_CLAMP <= t <= end + EPS_CLAMP:  # also refuses NaN
         raise ParamOutOfRange(f"t = {t} outside [0, {end}]")
     ct, st = c(t), s(t)
     return MVec3(ct * a1 + st * x1, ct * a2 + st * x2, ct * a3 + st * x3)

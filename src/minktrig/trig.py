@@ -204,10 +204,6 @@ class LawBatch(NamedTuple):
     hits: np.ndarray  # (N,) apex or anchor candidates found
     classes: _Rows  # the classification the law families were read off
 
-    def families(self) -> list:
-        """Each row's LawFamily, None where it has no laws."""
-        return [_FAMILIES[f] if f >= 0 else None for f in self.family.tolist()]
-
     def angle_sums(self) -> list:
         """Angle sum of each hyperbolic row, None elsewhere."""
         sums = (self.angles[:, 0] + self.angles[:, 1] + self.angles[:, 2]).tolist()

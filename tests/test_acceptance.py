@@ -12,14 +12,8 @@ import numpy as np
 import pytest
 
 from minktrig.errors import PolarNonExistent
-from minktrig.mink import apply_matrix, random_lorentz
 from minktrig.polar import polar_triangle, predict_polar_type, prediction_satisfied
-from minktrig.samplers import (
-    SampleSpec,
-    arc_length_oracle,
-    sample_segment,
-    sample_triangle,
-)
+from minktrig.samplers import SampleSpec, sample_triangle
 from minktrig.surfaces import SegmentKind, angle, angle_via_cross, distance
 from minktrig.triangles import (
     ProperKind,
@@ -30,7 +24,15 @@ from minktrig.triangles import (
 from minktrig.trig import law_batch, trig_report
 
 import conftest
-from conftest import SQRT2, SQRT3, vec
+from conftest import (
+    SQRT2,
+    SQRT3,
+    apply_matrix,
+    arc_length_oracle,
+    random_lorentz,
+    sample_segment,
+    vec,
+)
 
 N_BIG = 10_000
 N_SMALL = 1_000

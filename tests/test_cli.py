@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +25,7 @@ from minktrig.cli import (
     main,
 )
 
-from conftest import SQRT2, vec
+from conftest import SQRT2, law_families, vec
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=None):
@@ -353,11 +355,14 @@ class TestSample:
 # with each of its options and with all of them, and the lists only the full
 # parser reads: none, an unknown command, an option before the command, and
 # arguments left over or misspelt.
-COMMON_OPTIONS = [["--file", "in.json"], ["--strict"], ["--tolerance", "1e-3"]]
+# Each command's options, as it takes them: the four that read a JSON object
+# take READER_OPTIONS.
+READER_OPTIONS = [["--file", "in.json"], ["--strict"]]
 OWN_OPTIONS = {
-    "classify": [], "polar": [],
-    "verify": [["--sample", "hyperbolic"], ["--count", "5"], ["--seed", "2"]],
-    "export-geodesic": [["--samples", "7"]],
+    "classify": READER_OPTIONS, "polar": READER_OPTIONS,
+    "verify": READER_OPTIONS + [["--tolerance", "1e-3"], ["--sample", "hyperbolic"],
+                                ["--count", "5"], ["--seed", "2"]],
+    "export-geodesic": READER_OPTIONS + [["--samples", "7"]],
     "sample": [["--count", "5"], ["--seed", "2"]],
 }
 DISPATCH_ARGVS = [
@@ -369,8 +374,8 @@ DISPATCH_ARGVS = [
 for _command, _own in OWN_OPTIONS.items():
     _head = [_command] + (["--family", "hyperbolic"] if _command == "sample" else [])
     DISPATCH_ARGVS += [_head, [_command, "-h"],
-                       *(_head + option for option in COMMON_OPTIONS + _own),
-                       _head + [a for option in COMMON_OPTIONS + _own for a in option]]
+                       *(_head + option for option in _own),
+                       _head + [a for option in _own for a in option]]
 
 
 class TestProcess:
@@ -396,6 +401,24 @@ class TestProcess:
         ):
             assert main(argv) == 2  # argparse's status, returned
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option", [
+        pytest.param(command, option, id=f"{command[0]} {option[0]}")
+        for command, option in [
+            (["classify"], ["--tolerance", "1e-3"]),
+            (["polar"], ["--tolerance", "1e-3"]),
+            (["export-geodesic"], ["--tolerance", "1e-3"]),
+            (["sample", "--family", "hyperbolic"], ["--file", "/nonexistent"]),
+            (["sample", "--family", "hyperbolic"], ["--strict"]),
+            (["sample", "--family", "hyperbolic"], ["--tolerance", "5"]),
+        ]])
+    def test_options_a_command_does_not_read_are_refused(self, capsys, monkeypatch,
+                                                         command, option):
+        # classify, polar and export-geodesic have no residual bound, and
+        # sample reads no input
+        code, out, err = run_cli(capsys, monkeypatch, command + option, stdin=HYP)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(option)}" in err
 
     @pytest.mark.parametrize("argv", DISPATCH_ARGVS,
                              ids=lambda argv: " ".join(argv) or "no arguments")
@@ -496,7 +519,7 @@ def reference_reports(batch, bound):
             "within_tolerance": mr <= bound,
         }
         for family, lcs, lca, ratios, angle_sum, side_sum, mr in zip(
-            batch.families(), batch.lcs.tolist(), batch.lca.tolist(),
+            law_families(batch), batch.lcs.tolist(), batch.lca.tolist(),
             batch.ratios.tolist(), batch.angle_sums(), batch.side_sums(), worst)
     ]
     failures = sum(not r["within_tolerance"] for r in reports)
@@ -736,3 +759,25 @@ def test_closed_stdout_exits_1_without_a_traceback():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == EXIT_CLOSED
     assert err == b""
+
+
+def readme_commands():
+    """The commands of the sh block under README.md's "## Command line", as
+    (argv, stdin) pairs: each `echo '...' | minktrig ...` pipeline, and each
+    bare `minktrig ...` line with empty stdin."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    piped = re.findall(r"^echo '([^']*)' \\\n\s*\| minktrig (.*)$", block, re.M)
+    bare = re.findall(r"^minktrig (.*)$", block, re.M)
+    commands = [pytest.param(shlex.split(argv), stdin, id=argv)
+                for stdin, argv in piped + [("", argv) for argv in bare]]
+    assert len(commands) == block.count("minktrig ")
+    return commands
+
+
+@pytest.mark.parametrize("argv, stdin", readme_commands())
+def test_readme_examples_exit_0(capsys, monkeypatch, argv, stdin):
+    code, out, err = run_cli(capsys, monkeypatch, argv, stdin=stdin)
+    assert (code, err) == (EXIT_OK, "")
+    assert out

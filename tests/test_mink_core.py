@@ -20,17 +20,13 @@ from minktrig.mink import (
     E1,
     E2,
     E3,
-    J_MATRIX,
     MVec3,
-    apply_matrix,
     cross,
     euclid_dot,
     minkowski_norm,
     minkowski_product,
-    random_lorentz,
 )
 from minktrig.constants import EPS_LIGHT
-from minktrig.samplers import sample_point
 from minktrig.surfaces import (
     Component,
     SegmentKind,
@@ -40,7 +36,15 @@ from minktrig.surfaces import (
 )
 from minktrig.triangles import _classify_rows
 
-from conftest import SQRT2, j_transform, vec
+from conftest import (
+    J_MATRIX,
+    SQRT2,
+    apply_matrix,
+    j_transform,
+    random_lorentz,
+    sample_point,
+    vec,
+)
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 vectors = st.builds(MVec3, coords, coords, coords)

@@ -15,15 +15,7 @@ from minktrig.errors import (
     OffSurfaceError,
     ParamOutOfRange,
 )
-from minktrig.mink import (
-    E1,
-    E2,
-    E3,
-    MVec3,
-    apply_matrix,
-    minkowski_product,
-    random_lorentz,
-)
+from minktrig.mink import E1, E2, MVec3, minkowski_product
 from minktrig.surfaces import (
     Component,
     OffSurface,
@@ -40,7 +32,14 @@ from minktrig.surfaces import (
 )
 from minktrig.triangles import _classify_rows
 
-from conftest import SQRT2, SQRT3, vec
+from conftest import (
+    SQRT2,
+    SQRT3,
+    apply_matrix,
+    random_lorentz,
+    sample_point,
+    vec,
+)
 
 
 def sp(x1, x2, x3):
@@ -110,7 +109,8 @@ class TestDistance:
     def test_backward_sheet_matches_forward(self):
         a = sp(math.cosh(0.4), math.sinh(0.4), 0)
         b = sp(math.cosh(1.1), 0, math.sinh(1.1))
-        assert distance(a.negated(), b.negated()) == pytest.approx(distance(a, b))
+        back = (surface_point(-p.coords) for p in (a, b))
+        assert distance(*back) == pytest.approx(distance(a, b))
 
     def test_infinite_branch_case(self):
         # opposite branches of a timelike-plane section: product below -1
@@ -126,8 +126,6 @@ class TestDistance:
         assert distance(a, b) == 0.0
 
     def test_symmetry_including_infinite(self, rng):
-        from minktrig.samplers import sample_point
-
         for _ in range(100):
             comp_a = [Component.H2, Component.DE_SITTER][int(rng.integers(2))]
             comp_b = [Component.H2, Component.DE_SITTER][int(rng.integers(2))]
@@ -136,8 +134,6 @@ class TestDistance:
             assert distance(a, b) == distance(b, a)
 
     def test_hyperbolic_metric_triangle_inequality(self, rng):
-        from minktrig.samplers import sample_point
-
         for _ in range(100):
             a, b, c = (sample_point(Component.H2, rng, 1.5) for _ in range(3))
             assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
@@ -232,8 +228,6 @@ class TestTangentVector:
         assert tangent_vector(a, b) == b.coords - a.coords
 
     def test_orthogonal_to_base_point(self, rng):
-        from minktrig.samplers import sample_point
-
         for _ in range(100):
             comp = [Component.H2, Component.DE_SITTER][int(rng.integers(2))]
             a = sample_point(comp, rng, 1.5)
@@ -260,6 +254,17 @@ class TestTangentVector:
         h = 1e-6
         fd = (segment_point(a, b, h) - a.coords) / h
         assert fd.as_tuple() == pytest.approx(x.as_tuple(), abs=1e-5)
+
+
+# Endpoints of one segment of each kind but the empty one.
+SEGMENTS = [
+    ((SQRT2, 1, 0), (SQRT2, 0, 1)),  # hyperbolic
+    ((-SQRT2, 1, 0), (-SQRT2, 0, 1)),  # antipodal hyperbolic
+    ((-0.0, -1, 0), (0, -0.6, -0.8)),  # spacelike
+    ((0, 1, 0), (0.75, 1.25, 0)),  # timelike
+    ((0, 1, 0), (1, 1, 1)),  # lightlike
+    ((0, -0.0, 1), (0, -0.0, 1)),  # a point
+]
 
 
 class TestSegmentPoint:
@@ -299,19 +304,15 @@ class TestSegmentPoint:
     def test_param_out_of_range(self):
         with pytest.raises(ParamOutOfRange):
             segment_point(sp(0, 1, 0), sp(0, 0, 1), 3.0)
+        for a, b in SEGMENTS:  # NaN fails every comparison, so it is refused
+            with pytest.raises(ParamOutOfRange):
+                segment_point(sp(*a), sp(*b), math.nan)
 
     def test_empty_segment(self):
         with pytest.raises(EmptySegment):
             segment_point(sp(0, 1, 0), sp(0, -1, 0), 0.0)
 
-    @pytest.mark.parametrize("a, b", [
-        ((SQRT2, 1, 0), (SQRT2, 0, 1)),  # hyperbolic
-        ((-SQRT2, 1, 0), (-SQRT2, 0, 1)),  # antipodal hyperbolic
-        ((-0.0, -1, 0), (0, -0.6, -0.8)),  # spacelike
-        ((0, 1, 0), (0.75, 1.25, 0)),  # timelike
-        ((0, 1, 0), (1, 1, 1)),  # lightlike
-        ((0, -0.0, 1), (0, -0.0, 1)),  # a point
-    ])
+    @pytest.mark.parametrize("a, b", SEGMENTS)
     def test_floats_match_the_vector_formula(self, a, b):
         # the geodesic as MVec3 arithmetic on tangent_vector is the
         # reference, to the bit, -0.0 included

@@ -10,13 +10,11 @@ from minktrig.errors import (
     NotSpatiolateral,
     OffSurfaceError,
 )
-from minktrig.mink import E2, E3, apply_matrix, random_lorentz
 from minktrig.samplers import SampleSpec, sample_triangle
 from minktrig.surfaces import (
     SegmentKind,
     distance,
     segment_kind,
-    surface_point,
     tangent_vector,
 )
 from minktrig.triangles import (
@@ -28,7 +26,7 @@ from minktrig.triangles import (
     triangle_inequality_report,
 )
 
-from conftest import SQRT2, SQRT3, vec
+from conftest import SQRT2, SQRT3, apply_matrix, random_lorentz, vec
 
 
 def tri(*vecs):
