@@ -199,8 +199,6 @@ def _verify_batch(args) -> LawBatch:
     seed = _in_range(args.seed, "--seed", 0)
     if args.sample:
         spec = SampleSpec(family=args.sample, count=count, seed=seed)
-        if spec.family == "mixed":
-            return law_batch(_sample_rows(spec))
         if spec.family not in _LAW_SAMPLES:
             raise UnsupportedFamily(f"no trig laws for {spec.family} triangles")
         _, classes = _sample_classified(spec)
@@ -252,20 +250,20 @@ def _write_reports(batch: LawBatch, bound: float) -> int:
     """Write the verify payload of the batch's rows, byte for byte what _emit
     writes for it, and return the number of rows beyond the bound.
 
-    The text is read straight off the batch's columns, one report per row.
-    A batch of fewer than _UNIQUE_ROWS rows, as every stdin triangle is, or of
-    more than one law family, reads each column once as a list and formats
-    its values one by one into _REPORT: a numpy call per column costs more
-    than that.  A larger batch of one law family, as every sampled one is,
-    fills in its family's report.  Its residuals are small multiples of an
-    ulp, so it holds few distinct ones: one np.unique over the seven residual
-    columns finds them, and each is formatted once.  np.unique takes 0.0 and
-    -0.0 for one value, so this relies on the residuals being absolute
-    values, which never hold -0.0.
+    The rows are of one law family, as every sampled batch and every stdin
+    triangle is, and the text is read straight off the batch's columns, one
+    report per row.  A batch of fewer than _UNIQUE_ROWS rows, as every stdin
+    triangle is, reads each column once as a list and formats its values one
+    by one into _REPORT: a numpy call per column costs more than that.  A
+    larger batch fills in its family's report.  Its residuals are small
+    multiples of an ulp, so it holds few distinct ones: one np.unique over
+    the seven residual columns finds them, and each is formatted once.
+    np.unique takes 0.0 and -0.0 for one value, so this relies on the
+    residuals being absolute values, which never hold -0.0.
     """
     n = len(batch.status)
     family, worst = batch.family, batch.max_residual
-    if n < _UNIQUE_ROWS or family.min() != family.max():
+    if n < _UNIQUE_ROWS:
         worst = worst.tolist()
         within = [w <= bound for w in worst]
         report = _REPORT

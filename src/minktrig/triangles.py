@@ -7,6 +7,9 @@ Each public call builds the triangle's geometry once: the three sides, each
 read off its product p = <<V, W>> and n2 = <<V x W, V x W>> by the one rule
 of ``surfaces``, and det(A, B, C).  Side kinds, lengths, the lightlike-plane and
 opposite-vertex flags, degeneracy and contractibility are all read off it.
+A spatiolateral triangle is contractible exactly when it has a polar anchor,
+a sign test on the three products p (``_anchors``), which ``trig`` also
+relabels contractible triangles by.
 
 ``_classify_rows`` is the same classification over vertex rows of shape
 (N, 3, 3), as arrays of codes, one row per triangle.  It also reads off each
@@ -138,30 +141,36 @@ def _geometry(t: Triangle) -> _Geometry:
     return _Geometry(sides, det, abs(det) <= EPS_DEGEN * scale)
 
 
-def _winding_number(t: Triangle) -> int:
-    """Winding of the projected boundary loop A -> B -> C -> A about the origin
-    of the x2-x3 plane.
+def _positive_r(p):
+    """Whether r_i = g_jk - g_ij g_ik > 0 at vertices A, B, C, for the
+    products p = (g_BC, g_AC, g_AB) of sides a, b, c: floats for one triangle
+    or (N,) arrays for N.  On the de Sitter surface r_i is, up to positive
+    factors, the product of the tangents at Vi toward Vj and Vk, and also the
+    (j, k) entry of the polar triangle's Gram matrix.  The tempolateral apex
+    is the one vertex with r_i > 0."""
+    a, b, c = p
+    return a - b * c > 0.0, b - a * c > 0.0, c - a * b > 0.0
 
-    A spacelike side is shorter than pi and projects to less than half of an
-    origin-centred ellipse, so its signed sweep is the angle between its
-    projected endpoints, which atan2 returns in (-pi, pi).
-    """
-    A, B, C = (v.coords for v in t.vertices())
-    sweep = sum(
-        math.atan2(p.x2 * q.x3 - p.x3 * q.x2, p.x2 * q.x2 + p.x3 * q.x3)
-        for p, q in ((A, B), (B, C), (C, A))
-    )
-    return round(sweep / (2.0 * math.pi))
+
+def _anchors(p):
+    """Whether A, B, C are polar anchors, r_j > 0 and r_k > 0: the polar
+    vertex of an anchor lies alone on its hyperboloid sheet.  Every polar
+    vertex of a spatiolateral triangle lies on a sheet, and an even number of
+    polar sides joins the two sheets, so 0 or 2 of the r_i are positive and a
+    triangle has no anchor or one.  It has one exactly when its polar is
+    strange on sheets, that is when it is contractible."""
+    ra, rb, rc = _positive_r(p)
+    return rb & rc, ra & rc, ra & rb
 
 
 def is_contractible(t: Triangle) -> bool:
-    """True when the projected boundary does not wind around the origin."""
-    g = _geometry(t)
-    if any(s.kind is not SegmentKind.DE_SITTER_SPACELIKE for s in g.sides):
+    """True when the triangle has a polar anchor (_anchors)."""
+    cls, _, _ = _classify(t)
+    if cls.contractible is None:
         raise NotSpatiolateral("contractibility is defined for spatiolateral triangles")
-    if g.degenerate:
+    if cls.degenerate:
         raise DegenerateTriangle("contractibility is undefined for degenerate triangles")
-    return _winding_number(t) == 0
+    return cls.contractible
 
 
 _KIND_TABLE = {
@@ -211,11 +220,7 @@ def _classify(t: Triangle):
         )
         proper_kind = _KIND_TABLE[counts]
         if counts == (3, 0, 0):
-            if g.degenerate:
-                # winding is ill-defined here; fall back to the side-sum criterion
-                contractible = sum(s.length for s in sides) < 2.0 * math.pi
-            else:
-                contractible = _winding_number(t) == 0
+            contractible = any(_anchors([s.p for s in g.sides]))
             proper_kind = (
                 ProperKind.SPATIOLATERAL_CONTRACTIBLE
                 if contractible
@@ -263,7 +268,7 @@ _FAMILY_CODES[-1, :, :] = _FAMILY_CODES[:, -1, :] = _FAMILY_CODES[:, :, -1] = -1
 _FAMILY_CODES[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = [0, 1, 2]
 # _KIND_TABLE on the kinds of sides a, b, c, -1 unless all three are de Sitter
 # kinds (consecutive in SegmentKind); spatiolateral rows read non-contractible
-# until their winding number is known.
+# until their anchors are read.
 _KIND_CODES = np.full((len(_KINDS),) * 3, -1)
 for _sides in np.ndindex(3, 3, 3):
     _kind = _KIND_TABLE[tuple(_sides.count(i) for i in range(3))]
@@ -306,7 +311,6 @@ class _Rows(NamedTuple):
     det: np.ndarray  # (N,) det(A, B, C)
     scale: np.ndarray  # (N,) |A| |B| |C|, the scale of the det band
     degenerate: np.ndarray  # (N,)
-    contractible: np.ndarray  # (N,) 1 or 0 on spatiolateral rows, else -1
     family: np.ndarray  # (N,) TriangleFamily codes, -1 off the quadric
     proper_kind: np.ndarray  # (N,) ProperKind codes
     law: np.ndarray  # (N,) LawFamily codes
@@ -317,8 +321,7 @@ def _classify_rows(V) -> _Rows:
     """_classify of each row of V, shape (N, 3, 3), by the same rules: the
     component bands of surfaces.classify_point (for q < 0, ||q| - 1| is
     |q + 1| exactly), the side rule of surfaces._side, the det band of
-    _geometry, _KIND_TABLE, and contractibility by _winding_number, or by the
-    side sum on degenerate rows."""
+    _geometry, _KIND_TABLE, and contractibility by _anchors."""
     X = np.ascontiguousarray(V.T)  # coordinate, vertex, row
     q = _mink(X, X)
     comp = np.where(np.abs(np.abs(q) - 1.0) <= EPS_SURF,
@@ -355,20 +358,12 @@ def _classify_rows(V) -> _Rows:
     family = _FAMILY_CODES[comp[0], comp[1], comp[2]]
     proper = _KIND_CODES[kinds[0], kinds[1], kinds[2]]
     spatiolateral = proper == _SPATIO_NC
-    contractible = np.full(len(det), -1)
-    if spatiolateral.any():  # the winding number, only where it is read
-        u = X[1:]  # the x2-x3 projection of A -> B -> C -> A
-        w = u.take(_NEXT, axis=1)
-        turn = np.arctan2(u[0] * w[1] - u[1] * w[0], u[0] * w[0] + u[1] * w[1])
-        # |turns| <= 0.5 is round(turns) == 0, as halves round to even
-        sweep, sides = turn[0] + turn[1] + turn[2], lengths[0] + lengths[1] + lengths[2]
-        zero = np.where(degenerate, sides < 2.0 * math.pi,
-                        np.abs(sweep / (2.0 * math.pi)) <= 0.5)
-        contractible = np.where(spatiolateral, zero, -1)
-        proper = np.where(spatiolateral & zero, _SPATIO_C, proper)
+    if spatiolateral.any():  # the anchors, only where they are read
+        a, b, c = _anchors(p)
+        proper = np.where(spatiolateral & (a | b | c), _SPATIO_C, proper)
     law = np.where((family >= 0) & (family < _PROPER), 0, _LAW_CODES[proper])
     return _Rows(comp.T, kinds.T, lengths.T, lightlike.T, opposite.T, p.T, n2.T, det,
-                 scale, degenerate, contractible, family, proper, law, X.T)
+                 scale, degenerate, family, proper, law, X.T)
 
 
 @dataclass(frozen=True)

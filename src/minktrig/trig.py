@@ -29,10 +29,9 @@ batch of one row is, is evaluated as it is, with no grouping.
 
 The angles are measured as Minkowski products of the unit tangents built at
 each vertex, normalised by sqrt|n2|.  The tempolateral apex and the
-contractible spatiolateral anchor are sign tests on the vertex products
-g_ij = <<Vi, Vj>>.  For de Sitter vertices r_i = g_jk - g_ij g_ik is, up to
-positive factors, the product of the tangents at Vi toward Vj and Vk, and
-also the (j, k) entry of the polar triangle's Gram matrix.
+contractible spatiolateral anchor are the sign tests of
+``triangles._positive_r`` and ``triangles._anchors`` on the vertex products
+g_ij = <<Vi, Vj>>, the tests the classifier reads contractibility off.
 
 A row that cannot be measured gets a status code in place of an exception;
 ``LawBatch.raise_first`` raises the error of the first such row.
@@ -48,8 +47,8 @@ import numpy as np
 
 from .constants import EPS_CLAMP
 from .errors import ClampError, DegenerateTriangle, OffSurfaceError, UnsupportedFamily
-from .triangles import _J, _K, _NEXT, LawFamily, ProperKind, Triangle, TriangleFamily
-from .triangles import _classify_rows, _mink, _Rows
+from .triangles import _NEXT, LawFamily, ProperKind, Triangle, TriangleFamily
+from .triangles import _anchors, _classify_rows, _mink, _positive_r, _Rows
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ _HYP, _SPATIO_NC, _SPATIO_C, _TEMPO = range(4)
 
 # Row statuses.  A row that fails gets its first failure in this order: a
 # vertex off the quadric, a degenerate triangle, a class without laws, no
-# unique apex or anchor, an angle beyond its clamp band, a vanishing
+# unique tempolateral apex, an angle beyond its clamp band, a vanishing
 # law-of-sines denominator.
 OFF_SURFACE, DEGENERATE, NO_LAWS, NOT_UNIQUE, CLAMP, SINE, OK = range(7)
 
@@ -116,10 +115,7 @@ _PRODUCT = np.array([2, 2, 2, 3, 3, 3])  # the product sign column of each equat
 def _vertex_hits(family: int, p):
     """Per vertex of rows of one law family, whether it is the tempolateral
     apex (r_i > 0) or the contractible anchor (r_j > 0 and r_k > 0)."""
-    positive = (p - p.take(_J, axis=0) * p.take(_K, axis=0)) > 0.0
-    if family == _TEMPO:
-        return positive
-    return positive.take(_J, axis=0) & positive.take(_K, axis=0)
+    return np.array(_positive_r(p) if family == _TEMPO else _anchors(p))
 
 
 def _angles(X, sheet: bool, p, n2):
@@ -190,7 +186,9 @@ class LawBatch(NamedTuple):
     vertex that sees the other two in opposite time directions (r_i > 0), is
     moved to A, and so is the contractible spatiolateral anchor, the vertex
     whose polar vertex sits alone on its hyperboloid sheet (r_j, r_k > 0),
-    so that the polar side a' is not strange.
+    so that the polar side a' is not strange.  A spatiolateral row is
+    contractible exactly when it has an anchor, and it has at most one, so
+    only a tempolateral row can fail for want of a unique apex.
     """
 
     status: np.ndarray  # (N,) status codes
@@ -235,9 +233,8 @@ class LawBatch(NamedTuple):
                 names.append(tuple(ProperKind)[kind].value)
             raise UnsupportedFamily(f"no trig laws for {'/'.join(names)} triangles")
         if status == NOT_UNIQUE:
-            what = "apex" if self.family[i] == _TEMPO else "polar anchor"
             raise DegenerateTriangle(
-                f"expected one {what} vertex, found {int(self.hits[i])}")
+                f"expected one apex vertex, found {int(self.hits[i])}")
         if status == CLAMP:
             raise ClampError("an angle's arccos/arcosh argument is beyond the clamp band")
         raise DegenerateTriangle("law of sines has a vanishing denominator")
@@ -284,8 +281,8 @@ def _law_rows(c: _Rows) -> LawBatch:
         spread = np.abs(ratios - ratios.take(_NEXT, axis=0))
         max_residual = np.maximum(residuals.max(axis=0), spread.max(axis=0))
 
-    choose = (family == _TEMPO) | (family == _SPATIO_C)
-    failures = np.array([c.family < 0, c.degenerate, family < 0, choose & (count != 1),
+    failures = np.array([c.family < 0, c.degenerate, family < 0,
+                         (family == _TEMPO) & (count != 1),
                          angle_clamp, vanishing, np.ones(n, dtype=bool)])
     status = np.argmax(failures, axis=0)  # the first that holds, in status order
     return LawBatch(status, family, sides.T, angles.T, residuals[:3].T,

@@ -39,7 +39,12 @@ from minktrig.errors import (
     UnsupportedFamily,
 )
 from minktrig.mink import MVec3, cross, euclid_dot
-from minktrig.polar import polar_triangle, predict_polar_type, prediction_satisfied
+from minktrig.polar import (
+    _polar_type,
+    polar_triangle,
+    predict_polar_type,
+    prediction_satisfied,
+)
 from minktrig.samplers import (
     _LAW_SAMPLES,
     _MAKERS,
@@ -60,6 +65,7 @@ from minktrig.triangles import (
     Triangle,
     TriangleClass,
     TriangleFamily,
+    _anchors,
     _classify,
     _classify_rows,
     _mink,
@@ -90,7 +96,7 @@ from minktrig.trig import (
     trig_report,
 )
 
-from conftest import apply_matrix, law_families, random_lorentz
+from conftest import apply_matrix, law_families, random_lorentz, sample_point
 
 LENGTH_TOL = 2e-15
 RESIDUAL_TOL = 2e-13
@@ -101,6 +107,9 @@ COMPONENTS = list(Component)
 KINDS = list(SegmentKind)
 TRIANGLE_FAMILIES = list(TriangleFamily)
 PROPER_KINDS = list(ProperKind)
+# TriangleClass.contractible of the spatiolateral proper kind codes
+CONTRACTIBLE = {PROPER_KINDS.index(ProperKind.SPATIOLATERAL_CONTRACTIBLE): True,
+                PROPER_KINDS.index(ProperKind.SPATIOLATERAL_NONCONTRACTIBLE): False}
 
 # (i; j, k) for the three equations of each law
 ORDERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
@@ -143,8 +152,7 @@ def assert_classes_match(V, triangles):
     for n, t in enumerate(triangles):
         cls, sides, g = _classify(t)
         kinds = [KINDS[k] for k in rows.kinds[n]]
-        proper, contractible, law = (int(rows.proper_kind[n]), int(rows.contractible[n]),
-                                     int(rows.law[n]))
+        proper, law = int(rows.proper_kind[n]), int(rows.law[n])
         assert TriangleClass(
             family=TRIANGLE_FAMILIES[rows.family[n]],
             proper_kind=PROPER_KINDS[proper] if proper >= 0 else None,
@@ -152,7 +160,7 @@ def assert_classes_match(V, triangles):
             impossible_sides=tuple(label for label, k in zip("abc", kinds)
                                    if k is SegmentKind.EMPTY),
             degenerate=bool(rows.degenerate[n]),
-            contractible=bool(contractible) if contractible >= 0 else None,
+            contractible=CONTRACTIBLE.get(proper),
             vertex_components=tuple(COMPONENTS[c] for c in rows.components[n]),
             has_opposite_vertices=bool(rows.opposite[n].any()),
             has_lightlike_side_plane=bool(rows.lightlike[n].any()),
@@ -242,25 +250,68 @@ def test_lawless_families_match_the_scalar_classifier(family):
     assert assert_matches_reference(triangles, law_batch(V)) == 0
 
 
-def test_degenerate_spatiolateral_rows_fall_back_to_the_side_sum():
-    # three points of one throat circle within half a turn, boosted: all
-    # sides spacelike, det 0, and contractible by the side sum (twice the
-    # widest arc, below 2 pi)
+def test_degenerate_spatiolateral_rows_are_contractible_unless_they_go_around():
+    # three points anywhere on one waist circle, under maps up to rapidity 6:
+    # all sides spacelike and det 0.  A row goes around the circle, and is
+    # non-contractible, exactly when every gap between neighbouring points is
+    # below pi; its side sum is then exactly 2 pi, which may round below it
     rng = np.random.default_rng(50)
-    rows = []
-    for _ in range(300):
-        theta = rng.uniform(0.0, 2.0 * math.pi) + np.sort(rng.uniform(0.0, 2.8, 3))
-        m = random_lorentz(rng, max_rapidity=1.0)
+    rows, kinds = [], []
+    while len(rows) < 300:
+        theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, 3))
+        gaps = np.diff(theta, append=theta[0] + 2.0 * math.pi)
+        if gaps.min() < 0.01 or np.abs(gaps - math.pi).min() < 0.01:
+            continue  # nearly equal or opposite points
+        m = random_lorentz(rng, max_rapidity=6.0)
         rows.append([apply_matrix(m, MVec3(0.0, math.cos(x), math.sin(x))).as_tuple()
                      for x in theta])
+        kinds.append(ProperKind.SPATIOLATERAL_NONCONTRACTIBLE if gaps.max() < math.pi
+                     else ProperKind.SPATIOLATERAL_CONTRACTIBLE)
     V = np.array(rows)
     triangles = triangles_of(V)
     assert_classes_match(V, triangles)
     classes = _classify_rows(V)
     assert classes.degenerate.all()
-    assert (classes.proper_kind == PROPER_KINDS.index(
-        ProperKind.SPATIOLATERAL_CONTRACTIBLE)).all()
+    assert [PROPER_KINDS[k] for k in classes.proper_kind] == kinds
+    assert [classify_triangle(t)[0].proper_kind for t in triangles] == kinds
     assert (law_batch(V).status == DEGENERATE).all()
+
+
+def test_contractible_rows_are_those_whose_polar_is_strange_on_sheets():
+    # polarity as an oracle independent of the anchor test: the polar of a
+    # spatiolateral triangle is strange on sheets when it is contractible and
+    # hyperbolic when it is not (polar._POLAR_PAIRS).  The rows are sampled
+    # spatiolateral rows and random de Sitter triples, under maps up to
+    # rapidity 6.
+    rng = np.random.default_rng(52)
+    sampled = [_sample_rows(SampleSpec(family=f, count=500, seed=52))
+               for f in ("spatiolateral_contractible", "spatiolateral_noncontractible")]
+    drawn = [[sample_point(Component.DE_SITTER, rng, 0.5).coords.as_tuple()
+              for _ in range(3)] for _ in range(1000)]
+    maps = [random_lorentz(rng, max_rapidity=6.0) for _ in range(2000)]
+    V = np.concatenate(sampled + [np.array(drawn)])
+    V = np.einsum("nij,nvj->nvi", np.array(maps), V)
+    classes = _classify_rows(V)
+    keep = np.isin(classes.proper_kind, list(CONTRACTIBLE)) & ~classes.degenerate
+    anchors = np.array(_anchors(classes.p.T)).sum(axis=0)
+    assert set(anchors[keep].tolist()) == {0, 1}
+    V = V[keep]
+    triangles = triangles_of(V)
+    assert_classes_match(V, triangles)
+    off_surface = 0
+    for t in triangles:
+        contractible = classify_triangle(t)[0].contractible
+        try:
+            polar = Triangle.from_vectors(*polar_triangle(t).vertices)
+        except OffSurfaceError:
+            # far from the origin a polar vertex's <<V, V>> can leave the
+            # absolute EPS_SURF band: the band does not scale with |V|^2
+            off_surface += 1
+            continue
+        assert _polar_type(classify_triangle(polar)[0]) == (
+            "strange_on_sheets" if contractible else "hyperbolic")
+    assert len(triangles) > 1000
+    assert off_surface <= 0.01 * len(triangles)
 
 
 def test_constructed_rows_match_the_scalar_classifier():

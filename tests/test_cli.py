@@ -211,15 +211,16 @@ class TestVerify:
 
     def test_mixed_batch_fails_at_its_first_row_without_laws(self, capsys,
                                                              monkeypatch):
-        # the first five rows of a mixed batch are one of each law family
-        code, out, _ = run_cli(
-            capsys, monkeypatch, ["verify", "--sample", "mixed", "--count", "5"])
-        assert code == EXIT_OK
-        assert len(json.loads(out)["reports"]) == 5
-        code, out, err = run_cli(
-            capsys, monkeypatch, ["verify", "--sample", "mixed", "--count", "6"])
-        assert code == EXIT_DOMAIN
-        assert err.startswith("UnsupportedFamily")
+        # a mixed batch holds rows of every family, and is refused before
+        # any is sampled, even where its first rows all have laws
+        monkeypatch.setattr(cli, "_sample_rows", None)
+        monkeypatch.setattr(cli, "_sample_classified", None)
+        for count in ("1", "5", "6"):
+            code, out, err = run_cli(
+                capsys, monkeypatch, ["verify", "--sample", "mixed", "--count", count])
+            assert code == EXIT_DOMAIN
+            assert out == ""
+            assert err.startswith("UnsupportedFamily")
 
     def test_degenerate_triangle_exit_3(self, capsys, monkeypatch):
         payload = triangle_payload((0, 1, 0), (0, 0, 1), (0, SQRT2 / 2, SQRT2 / 2))
@@ -563,15 +564,6 @@ class TestVerifyWriter:
         code, out, _ = run_cli(capsys, monkeypatch, ["verify"], stdin=stdin)
         assert (code, out) == (EXIT_OK, expected)
 
-    def test_mixed_batch_matches_the_reference(self, capsys, monkeypatch):
-        spec = samplers.SampleSpec(family="mixed", count=5, seed=0)
-        rows = [[v.coords.as_tuple() for v in t.vertices()]
-                for t in samplers.sample_triangle(spec)]
-        expected, _ = reference_reports(trig.law_batch(rows), 1e-9)
-        code, out, _ = run_cli(capsys, monkeypatch,
-                               ["verify", "--sample", "mixed", "--count", "5"])
-        assert (code, out) == (EXIT_OK, expected)
-
     def test_zero_tolerance_strict_exit_4(self, capsys, monkeypatch):
         spec = samplers.SampleSpec(family="tempolateral", count=200, seed=3)
         expected, failures = reference_reports(
@@ -595,10 +587,11 @@ class TestVerifyWriter:
         assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("rows", [
-        0, 1, 2, 4, 5, 9, 40,
-        # one law family: its own report, and non-finite residuals and sums
-        # (hyperbolic), an infinite side sum (spatiolateral) and finite
-        # residuals (tempolateral), at and above cli._UNIQUE_ROWS
+        # n rows of one law family, hand-built row n mod 3: non-finite
+        # residuals and sums (hyperbolic), an infinite side sum
+        # (spatiolateral) and finite residuals (tempolateral), below and
+        # from cli._UNIQUE_ROWS
+        0, 1, 2, 3, 4, 5, 9, 40,
         pytest.param([0] * 5, id="hyperbolic-5"),
         pytest.param([1] * 5, id="spatiolateral-5"),
         pytest.param([2] * 5, id="tempolateral-5"),
@@ -607,7 +600,7 @@ class TestVerifyWriter:
     def test_either_residual_path_matches_the_reference(self, capsys, rows):
         # below cli._UNIQUE_ROWS rows each residual is formatted on its own;
         # from there np.unique finds the distinct ones first
-        batch = hand_built_batch(np.arange(rows) % 3 if isinstance(rows, int) else rows)
+        batch = hand_built_batch(np.full(rows, rows % 3) if isinstance(rows, int) else rows)
         expected, failures = reference_reports(batch, 1e-9)
         assert cli._write_reports(batch, 1e-9) == failures
         assert capsys.readouterr().out == expected

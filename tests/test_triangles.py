@@ -113,17 +113,25 @@ class TestContractibility:
 
     def test_throat_equilateral_is_noncontractible(self):
         # vertices at thirds of the throat circle, pushed slightly off the
-        # degenerate plane
-        eps = 0.05
-        pts = []
-        for k, s in zip(range(3), (eps, -eps, eps)):
-            th = 2 * math.pi * k / 3
-            pts.append((math.sinh(s), math.cosh(s) * math.cos(th),
-                        math.cosh(s) * math.sin(th)))
-        assert not is_contractible(tri(*pts))
+        # degenerate plane; and on it, boosted in x1-x2 to rapidity 3, where
+        # the side sum, exactly 2 pi, rounds to 2 pi - 8.9e-15
+        for eps, rapidity in ((0.05, 0.0), (0.0, 3.0)):
+            ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+            pts = []
+            for k, s in zip(range(3), (eps, -eps, eps)):
+                th = 2 * math.pi * k / 3
+                x1, x2 = math.sinh(s), math.cosh(s) * math.cos(th)
+                pts.append((ch * x1 + sh * x2, sh * x1 + ch * x2,
+                            math.cosh(s) * math.sin(th)))
+            t = tri(*pts)
+            cls, _ = classify_triangle(t)
+            assert cls.proper_kind is ProperKind.SPATIOLATERAL_NONCONTRACTIBLE
+            assert cls.degenerate is (eps == 0.0)
+            if eps:
+                assert not is_contractible(t)
 
     def test_reversed_orientation_keeps_verdict(self):
-        # reversing the loop negates the winding number, so 0 stays 0
+        # reversing the loop permutes the vertices, and the anchor with them
         for fam in ("spatiolateral_contractible", "spatiolateral_noncontractible"):
             for t in sample_triangle(SampleSpec(family=fam, count=20, seed=9)):
                 reverse = Triangle(t.C, t.B, t.A)
