@@ -7,6 +7,11 @@ the indefinite product (`mink`), distances, segments, and angles
 (`surfaces`), the triangle taxonomy (`triangles`), polar duality (`polar`),
 the laws of cosines and sines (`trig`), and seeded triangle generators
 (`samplers`).
+
+Importing the package does not execute numpy.  The scalar API, and the
+`classify`, `polar` and `export-geodesic` commands, never need it; the
+first array call (`law_batch`, `trig_report`, the samplers, `verify` and
+`sample`) loads it, and builds the code tables of `triangles` and `trig`.
 """
 
 from .constants import DEFAULT_RESIDUAL_BOUND

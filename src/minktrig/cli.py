@@ -14,25 +14,29 @@ reads no input and takes --family, --count and --seed.
 
 classify, polar and sample build their payload as a dict and write it with
 json.dumps.  verify writes its reports as text read straight off the
-LawBatch columns, one %-template per row, formatting each distinct residual
-once; its bytes are those json.dumps would write for the same payload.
-export-geodesic evaluates each point from the segment's floats and writes
-each row as the reprs of its floats, the bytes csv.writer would write for
-them, a few thousand rows per write.
+LawBatch columns, formatting each distinct residual once; its bytes are
+those json.dumps would write for the same payload.  export-geodesic builds
+the t grid np.linspace would, evaluates each point from the segment's floats
+and writes each row as the reprs of its floats, the bytes csv.writer would
+write for them, a few thousand rows per write.
+
+classify, polar and export-geodesic run on floats alone and never execute
+numpy, which a fresh process would otherwise spend about two fifths of its
+start-up on; verify and sample load it on their first array call.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
 from typing import Optional
 
-import numpy as np
-
+from ._numpy import np
 from .constants import DEFAULT_RESIDUAL_BOUND
 from .errors import MinkTrigError, PolarNonExistent, UnsupportedFamily
 from .mink import MVec3
@@ -226,6 +230,9 @@ _FAMILY_REPORTS = tuple(
     _REPORT % (name, *["%s"] * 9, "%s" if f == _HYP else "null",
                "%s" if f in (_SPATIO_NC, _SPATIO_C) else "null", "%s", "%s")
     for f, name in enumerate(_LAW_NAMES))
+# Reports per write: --count may be MAX_COUNT, so the text is never built
+# whole.
+_REPORT_ROWS = 4096
 # Rows from which the numpy calls of _write_reports, np.unique over the
 # residuals among them, cost less than formatting each value of a list.
 _UNIQUE_ROWS = 4
@@ -238,11 +245,12 @@ def _number(x: float) -> str:
     return "NaN" if x != x else '"inf"'
 
 
-def _floats(x) -> list:
-    """The %s arguments of the rows of floats x, shape (k, N): a finite float
-    as it is, since its str is its repr, and any other as _number writes it."""
+def _floats(x):
+    """The %s arguments of the floats x, shape (N, k): x itself where every
+    value is finite, since a finite float's str is its repr, else each value,
+    a finite one as it is and any other as _number writes it."""
     if np.isfinite(x).all():
-        return x.tolist()
+        return x
     return [[v if v - v == 0.0 else _number(v) for v in row] for row in x.tolist()]
 
 
@@ -259,14 +267,18 @@ def _write_reports(batch: LawBatch, bound: float) -> int:
     multiples of an ulp, so it holds few distinct ones: one np.unique over
     the seven residual columns finds them, and each is formatted once.
     np.unique takes 0.0 and -0.0 for one value, so this relies on the
-    residuals being absolute values, which never hold -0.0.
+    residuals being absolute values, which never hold -0.0.  Each row's %s
+    arguments go into one object array, and each chunk of _REPORT_ROWS rows
+    is formatted with one % against the family's report repeated.
     """
     n = len(batch.status)
     family, worst = batch.family, batch.max_residual
+    write = sys.stdout.write
+    write(_HEAD)
     if n < _UNIQUE_ROWS:
         worst = worst.tolist()
         within = [w <= bound for w in worst]
-        report = _REPORT
+        failures = within.count(False)
         columns = [
             (_LAW_NAMES[f], *map(_number, lcs), *map(_number, lca),
              *map(_number, ratios),
@@ -278,26 +290,36 @@ def _write_reports(batch: LawBatch, bound: float) -> int:
                 family.tolist(), batch.lcs.tolist(), batch.lca.tolist(),
                 batch.ratios.tolist(), batch.angles.tolist(), batch.sides.tolist(),
                 worst, within)]
+        write(", ".join(map(_REPORT.__mod__, columns)))
     else:
         stacked = np.concatenate((batch.lcs.T, batch.lca.T, worst[None]))
         unique, inverse = np.unique(stacked, return_inverse=True)
         text = map(float.__repr__ if np.isfinite(unique).all() else _number,
                    unique.tolist())
-        residuals = np.array(list(text), dtype=object)[inverse.reshape(7, n)].tolist()
+        residuals = np.array(list(text), dtype=object)[inverse.reshape(7, n)]
         f = family[0]
         summed = (batch.angles if f == _HYP
                   else batch.sides if f == _SPATIO_NC or f == _SPATIO_C else None)
-        sums = [] if summed is None else _floats(
-            (summed[:, 0] + summed[:, 1] + summed[:, 2])[None])
-        within = (worst <= bound).tolist()
-        worst = worst.tolist()
+        floats = batch.ratios if summed is None else np.concatenate(
+            (batch.ratios, (summed[:, 0] + summed[:, 1] + summed[:, 2])[:, None]),
+            axis=1)
+        within = worst <= bound
+        failures = n - int(np.count_nonzero(within))
+        # one row of %s arguments per report: the residual texts, the ratio
+        # and sum floats, the worst residual's text and the verdict
+        k = floats.shape[1]
+        args = np.empty((n, k + 8), dtype=object)
+        args[:, :6] = residuals[:6].T
+        args[:, 6:6 + k] = _floats(floats)
+        args[:, -2] = residuals[6]
+        args[:, -1] = np.array(_BOOL, dtype=object)[within.view(np.int8)]
         report = _FAMILY_REPORTS[f]
-        columns = zip(*residuals[:6], *_floats(batch.ratios.T), *sums, residuals[6],
-                      map(_BOOL.__getitem__, within))
-    failures = within.count(False)
-    write = sys.stdout.write
-    write(_HEAD)
-    write(", ".join(map(report.__mod__, columns)))
+        for first in range(0, n, _REPORT_ROWS):
+            chunk = args[first:first + _REPORT_ROWS]
+            if first:
+                write(", ")
+            write(", ".join([report] * len(chunk)) % tuple(chunk.ravel().tolist()))
+        worst = worst.tolist()
     write(_TAIL % (n, _number(max(worst, default=0.0)), failures, _number(bound)))
     return failures
 
@@ -318,6 +340,19 @@ def cmd_verify(args) -> int:
 _CSV_ROWS = 4096
 
 
+def _grid(end: float, samples: int):
+    """The values of np.linspace(0.0, end, samples), bit for bit, one by one:
+    i * step, or (i / (samples - 1)) * end where the step underflows to 0
+    (numpy's gh-5437 branch), and end itself last."""
+    div = samples - 1
+    step = end / div
+    if step:
+        yield from map(step.__mul__, range(div))
+    else:
+        yield from (i / div * end for i in range(div))
+    yield end
+
+
 def cmd_export_geodesic(args) -> int:
     samples = _in_range(args.samples, "--samples", 2, MAX_COUNT)
     data = _load_json(args)
@@ -331,12 +366,12 @@ def cmd_export_geodesic(args) -> int:
         raise InputError(str(exc))
 
     _, end, (a1, a2, a3), (x1, x2, x3), c, s = _segment(a, b)
-    t = np.linspace(0.0, end, samples)
+    t = _grid(end, samples)
     write = sys.stdout.write
     write("x1,x2,x3,t\r\n")
-    for first in range(0, samples, _CSV_ROWS):
+    for _ in range(0, samples, _CSV_ROWS):
         rows = []
-        for tk in t[first:first + _CSV_ROWS].tolist():
+        for tk in itertools.islice(t, _CSV_ROWS):
             ck, sk = c(tk), s(tk)
             rows.append(f"{ck * a1 + sk * x1!r},{ck * a2 + sk * x2!r},"
                         f"{ck * a3 + sk * x3!r},{tk!r}\r\n")

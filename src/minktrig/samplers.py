@@ -9,6 +9,14 @@ accepted rows' share of the classification, the input of the law kernel
 ``_sample_rows`` keeps the rows alone, and ``sample_triangle`` wraps them
 into triangles.  A ``mixed`` batch interleaves one such batch per family.
 
+A batch of ``count`` rows may draw max(10**6, 25 * count) candidates
+(``_REJECTION_BUDGET``, ``_BUDGET_PER_ROW``), so the budget stops no family
+whose accepted share is above 1/25; the lowest measured share, that of
+chronosceles rows, is about 9%.  A family that accepts fewer candidates
+raises ``RejectionBudgetExhausted`` with its attempts and acceptances.
+
+The samplers are numpy code: the first batch loads numpy (``_numpy``).
+
 Candidate points come from two parametrisations, (sinh v, cosh v cos t,
 cosh v sin t) on the de Sitter surface and (cosh u, sinh u cos t, sinh u sin t)
 on the forward sheet.  Families with measure-zero lightlike structure
@@ -23,8 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ParamOutOfRange, RejectionBudgetExhausted, UnsupportedFamily
 from .mink import MVec3
 from .triangles import (
@@ -262,8 +269,10 @@ def _impossible_rows(rng, spec: SampleSpec, size: int):
 # Rows per candidate block at most, so that memory stays bounded when few
 # candidates pass (a block of 2**16 rows holds about 5 MB per array).
 _MAX_BLOCK = 1 << 16
-# Candidates one batch of a single family may draw before it gives up.
+# Candidates one batch of a single family may draw before it gives up: at
+# least _REJECTION_BUDGET, and _BUDGET_PER_ROW per row asked for.
 _REJECTION_BUDGET = 1_000_000
+_BUDGET_PER_ROW = 25
 
 _MAKERS = {
     "hyperbolic": _hyperbolic_rows,
@@ -322,17 +331,17 @@ def _blocks(spec: SampleSpec):
 
     Candidates are drawn in blocks, each sized from the rows still needed and
     the share accepted so far, up to _MAX_BLOCK rows, and classified once;
-    _accept_rows reads the classification.  _REJECTION_BUDGET counts
-    candidates.
+    _accept_rows reads the classification.  The budget counts candidates.
     """
     rng = np.random.default_rng(spec.seed)
     draw = _MAKERS[spec.family]
+    budget = max(_REJECTION_BUDGET, _BUDGET_PER_ROW * spec.count)
     accepted, attempts = 0, 0
     while accepted < spec.count:
         need = spec.count - accepted
         rate = max(accepted, 1) / attempts if attempts else 1.0
         size = min(int(1.1 * need / rate) + 1, _MAX_BLOCK,
-                   _REJECTION_BUDGET - attempts)
+                   budget - attempts)
         if size <= 0:
             raise RejectionBudgetExhausted(spec.family, attempts, accepted)
         V = draw(rng, spec, size)

@@ -26,17 +26,21 @@ x2 and x3 arrays of a stack of vectors, and each value per side or per vertex
 is a (side or vertex, row) array: its rows are contiguous, and a reduction
 over its three sides is elementwise.  The classification's (N, 3) and (N,)
 fields are transposed views of these arrays.
+
+The scalar rules run without numpy.  The array rules' index and code tables
+are built on the first array call (``_tables``), and numpy is loaded then
+(``_numpy``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-import numpy as np
-
+from ._numpy import np
 from .constants import _POINT_EQ_TOL, EPS_DEGEN, EPS_LIGHT, EPS_SURF
 from .errors import DegenerateTriangle, DuplicateVertices, NotSpatiolateral
 from .mink import MVec3, euclid_dot
@@ -243,15 +247,6 @@ def _classify(t: Triangle):
 
 # -- the array classifier ------------------------------------------------------
 
-# Side i joins vertices _J[i] and _K[i] (a = BC, b = AC, c = AB); the same
-# index pairs give, for each i, the other two indices j < k.
-_J = np.array([1, 0, 0])
-_K = np.array([2, 2, 1])
-# Each index's successor and the one after, mod 3: cross product components
-# are (x x y)_m = x_{m+1} y_{m+2} - x_{m+2} y_{m+1}.
-_NEXT = np.array([1, 2, 0])
-_AFTER = np.array([2, 0, 1])
-
 # Arrays code each verdict as its index in its enum, -1 for none: a vertex or
 # row off the quadric, no proper kind, no laws.  The two sheets have the same
 # index as a component, as a side kind and as a triangle family.
@@ -262,23 +257,50 @@ _SPACELIKE, _TIMELIKE, _LIGHTLIKE, _POINT, _EMPTY = (_KINDS.index(k) for k in (
 _DE_SITTER, _PROPER, _STRANGE = 2, 2, 3  # Component and TriangleFamily codes
 _PROPER_KINDS = tuple(ProperKind)
 _SPATIO_C, _SPATIO_NC = 0, 1  # the spatiolateral ProperKind codes
-# The triangle family of three component codes (-1 reads an axis's last entry).
-_FAMILY_CODES = np.full((4, 4, 4), _STRANGE)
-_FAMILY_CODES[-1, :, :] = _FAMILY_CODES[:, -1, :] = _FAMILY_CODES[:, :, -1] = -1
-_FAMILY_CODES[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = [0, 1, 2]
-# _KIND_TABLE on the kinds of sides a, b, c, -1 unless all three are de Sitter
-# kinds (consecutive in SegmentKind); spatiolateral rows read non-contractible
-# until their anchors are read.
-_KIND_CODES = np.full((len(_KINDS),) * 3, -1)
-for _sides in np.ndindex(3, 3, 3):
-    _kind = _KIND_TABLE[tuple(_sides.count(i) for i in range(3))]
-    _KIND_CODES[tuple(_SPACELIKE + i for i in _sides)] = _PROPER_KINDS.index(
-        _kind or ProperKind.SPATIOLATERAL_NONCONTRACTIBLE)
-# The law family of each proper kind (the one of the same name), -1 for none,
-# also at index -1.  Rows of the hyperbolic families are HYP, code 0.
 _LAW_NAMES = [f.value for f in LawFamily]
-_LAW_CODES = np.array([_LAW_NAMES.index(k.value) if k.value in _LAW_NAMES else -1
-                       for k in ProperKind] + [-1])
+
+# The index and code arrays of _classify_rows, which _tables builds on the
+# first array call; __getattr__ serves them by name before that.
+_TABLES = ("_J", "_K", "_NEXT", "_AFTER", "_FAMILY_CODES", "_KIND_CODES", "_LAW_CODES")
+
+
+@functools.cache
+def _tables() -> None:
+    """Build the arrays named in _TABLES as module globals, once."""
+    global _J, _K, _NEXT, _AFTER, _FAMILY_CODES, _KIND_CODES, _LAW_CODES
+    # Side i joins vertices _J[i] and _K[i] (a = BC, b = AC, c = AB); the same
+    # index pairs give, for each i, the other two indices j < k.
+    _J = np.array([1, 0, 0])
+    _K = np.array([2, 2, 1])
+    # Each index's successor and the one after, mod 3: cross product
+    # components are (x x y)_m = x_{m+1} y_{m+2} - x_{m+2} y_{m+1}.
+    _NEXT = np.array([1, 2, 0])
+    _AFTER = np.array([2, 0, 1])
+    # The triangle family of three component codes (-1 reads an axis's last
+    # entry).
+    _FAMILY_CODES = np.full((4, 4, 4), _STRANGE)
+    _FAMILY_CODES[-1, :, :] = _FAMILY_CODES[:, -1, :] = _FAMILY_CODES[:, :, -1] = -1
+    _FAMILY_CODES[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = [0, 1, 2]
+    # _KIND_TABLE on the kinds of sides a, b, c, -1 unless all three are de
+    # Sitter kinds (consecutive in SegmentKind); spatiolateral rows read
+    # non-contractible until their anchors are read.
+    _KIND_CODES = np.full((len(_KINDS),) * 3, -1)
+    for sides in np.ndindex(3, 3, 3):
+        kind = _KIND_TABLE[tuple(sides.count(i) for i in range(3))]
+        _KIND_CODES[tuple(_SPACELIKE + i for i in sides)] = _PROPER_KINDS.index(
+            kind or ProperKind.SPATIOLATERAL_NONCONTRACTIBLE)
+    # The law family of each proper kind (the one of the same name), -1 for
+    # none, also at index -1.  Rows of the hyperbolic families are HYP, code 0.
+    _LAW_CODES = np.array([_LAW_NAMES.index(k.value) if k.value in _LAW_NAMES else -1
+                           for k in ProperKind] + [-1])
+
+
+def __getattr__(name):
+    """The arrays of _TABLES by name (PEP 562), built on first use."""
+    if name not in _TABLES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _tables()
+    return globals()[name]
 
 
 def _mink(x, y):
@@ -322,6 +344,7 @@ def _classify_rows(V) -> _Rows:
     component bands of surfaces.classify_point (for q < 0, ||q| - 1| is
     |q + 1| exactly), the side rule of surfaces._side, the det band of
     _geometry, _KIND_TABLE, and contractibility by _anchors."""
+    _tables()
     X = np.ascontiguousarray(V.T)  # coordinate, vertex, row
     q = _mink(X, X)
     comp = np.where(np.abs(np.abs(q) - 1.0) <= EPS_SURF,

@@ -35,19 +35,24 @@ g_ij = <<Vi, Vj>>, the tests the classifier reads contractibility off.
 
 A row that cannot be measured gets a status code in place of an exception;
 ``LawBatch.raise_first`` raises the error of the first such row.
+
+The kernel's index arrays and its ``_LAWS`` table are built on the first
+kernel call (``_tables``), not at import, so importing the module does not
+execute numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
+from . import triangles
+from ._numpy import np
 from .constants import EPS_CLAMP
 from .errors import ClampError, DegenerateTriangle, OffSurfaceError, UnsupportedFamily
-from .triangles import _NEXT, LawFamily, ProperKind, Triangle, TriangleFamily
+from .triangles import LawFamily, ProperKind, Triangle, TriangleFamily
 from .triangles import _anchors, _classify_rows, _mink, _positive_r, _Rows
 
 
@@ -76,40 +81,57 @@ _HYP, _SPATIO_NC, _SPATIO_C, _TEMPO = range(4)
 # law-of-sines denominator.
 OFF_SURFACE, DEGENERATE, NO_LAWS, NOT_UNIQUE, CLAMP, SINE, OK = range(7)
 
-# The tangents at vertex _TV toward _TW run along side _TS; tangents 2i and
-# 2i + 1 are the legs of the angle at vertex i.
-_TV = np.array([0, 0, 1, 1, 2, 2])
-_TW = np.array([1, 2, 0, 2, 0, 1])
-_TS = np.array([2, 1, 2, 0, 1, 0])
-# Relabelings that move vertex i to A, the others keeping their order.
-_ORDERS = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
+# The index arrays and the sign table of the kernel, which _tables builds on
+# the first array call; __getattr__ serves them by name before that.
+_TABLES = ("_TV", "_TW", "_TS", "_ORDERS", "_LAWS", "_EJ", "_EK", "_SWAP", "_PRODUCT")
 
-# One row per law family.  With (i; j, k) running over (a; b, c), (b; a, c),
-# (c; a, b), and with sc, ss, ac, as the side and angle cos/sin pairs (cosh
-# and sinh where the first two columns say so), the laws read
-#
-#     sc(i) = sc(j) sc(k) + lcs[i] ac(i) ss(j) ss(k)
-#     ac(i) = lca_product ac(j) ac(k) + lca[i] sc(i) as(j) as(k)
-#     as(i) / ss(i) is the same for i = a, b, c.
-#
-# Sign triples are in side order a, b, c.  The kernel puts the contractible
-# spatiolateral anchor and the tempolateral apex at A, so side a is where those
-# two rows break their pattern.
-#   columns: hyperbolic sides, hyperbolic angles, lcs product (always 1),
-#            lca_product, lcs a, b, c, lca a, b, c
-_LAWS = np.array([
-    [1.0, 0.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0],  # HYP
-    [0.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0],  # SPATIO_NC
-    [0.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0],  # SPATIO_C
-    [1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0],  # TEMPO
-])
-# The six equations, lcs a, b, c then lca a, b, c, over the six values sides
-# a, b, c then angles alpha, beta, gamma: equation e reads value e, its two
-# partners _EJ[e] and _EK[e], and the other group's value _SWAP[e].
-_EJ = np.array([1, 0, 0, 4, 3, 3])
-_EK = np.array([2, 2, 1, 5, 5, 4])
-_SWAP = np.array([3, 4, 5, 0, 1, 2])
-_PRODUCT = np.array([2, 2, 2, 3, 3, 3])  # the product sign column of each equation
+
+@functools.cache
+def _tables() -> None:
+    """Build the arrays named in _TABLES as module globals, once."""
+    global _TV, _TW, _TS, _ORDERS, _LAWS, _EJ, _EK, _SWAP, _PRODUCT
+    # The tangents at vertex _TV toward _TW run along side _TS; tangents 2i and
+    # 2i + 1 are the legs of the angle at vertex i.
+    _TV = np.array([0, 0, 1, 1, 2, 2])
+    _TW = np.array([1, 2, 0, 2, 0, 1])
+    _TS = np.array([2, 1, 2, 0, 1, 0])
+    # Relabelings that move vertex i to A, the others keeping their order.
+    _ORDERS = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
+
+    # One row per law family.  With (i; j, k) running over (a; b, c), (b; a, c),
+    # (c; a, b), and with sc, ss, ac, as the side and angle cos/sin pairs (cosh
+    # and sinh where the first two columns say so), the laws read
+    #
+    #     sc(i) = sc(j) sc(k) + lcs[i] ac(i) ss(j) ss(k)
+    #     ac(i) = lca_product ac(j) ac(k) + lca[i] sc(i) as(j) as(k)
+    #     as(i) / ss(i) is the same for i = a, b, c.
+    #
+    # Sign triples are in side order a, b, c.  The kernel puts the contractible
+    # spatiolateral anchor and the tempolateral apex at A, so side a is where those
+    # two rows break their pattern.
+    #   columns: hyperbolic sides, hyperbolic angles, lcs product (always 1),
+    #            lca_product, lcs a, b, c, lca a, b, c
+    _LAWS = np.array([
+        [1.0, 0.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0],  # HYP
+        [0.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0],  # SPATIO_NC
+        [0.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0],  # SPATIO_C
+        [1.0, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0],  # TEMPO
+    ])
+    # The six equations, lcs a, b, c then lca a, b, c, over the six values sides
+    # a, b, c then angles alpha, beta, gamma: equation e reads value e, its two
+    # partners _EJ[e] and _EK[e], and the other group's value _SWAP[e].
+    _EJ = np.array([1, 0, 0, 4, 3, 3])
+    _EK = np.array([2, 2, 1, 5, 5, 4])
+    _SWAP = np.array([3, 4, 5, 0, 1, 2])
+    _PRODUCT = np.array([2, 2, 2, 3, 3, 3])  # the product sign column of each equation
+
+
+def __getattr__(name):
+    """The arrays of _TABLES by name (PEP 562), built on first use."""
+    if name not in _TABLES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _tables()
+    return globals()[name]
 
 
 def _vertex_hits(family: int, p):
@@ -261,6 +283,7 @@ def _law_rows(c: _Rows) -> LawBatch:
     sampled batch of a law family is, is measured as it is; other batches are
     measured one law family at a time, and their rows without laws are left
     NaN."""
+    _tables()
     family, n = c.law, len(c.law)
     X, p, n2, lengths = c.vertices.T, c.p.T, c.n2.T, c.lengths.T
     with np.errstate(all="ignore"):  # rows that are not OK may compute anything
@@ -278,7 +301,7 @@ def _law_rows(c: _Rows) -> LawBatch:
                     for whole, values in zip(parts, _measure(f, *own)):
                         whole[..., rows] = values
         sides, angles, residuals, ratios, vanishing, angle_clamp, count = parts
-        spread = np.abs(ratios - ratios.take(_NEXT, axis=0))
+        spread = np.abs(ratios - ratios.take(triangles._NEXT, axis=0))
         max_residual = np.maximum(residuals.max(axis=0), spread.max(axis=0))
 
     failures = np.array([c.family < 0, c.degenerate, family < 0,

@@ -596,10 +596,13 @@ class TestVerifyWriter:
         pytest.param([1] * 5, id="spatiolateral-5"),
         pytest.param([2] * 5, id="tempolateral-5"),
         pytest.param([2] * 4, id="tempolateral-4"),
+        pytest.param([0] * 4097, id="hyperbolic-4097"),
+        pytest.param([2] * 8193, id="tempolateral-8193"),
     ])
     def test_either_residual_path_matches_the_reference(self, capsys, rows):
         # below cli._UNIQUE_ROWS rows each residual is formatted on its own;
-        # from there np.unique finds the distinct ones first
+        # from there np.unique finds the distinct ones first, and the reports
+        # are written in chunks of cli._REPORT_ROWS
         batch = hand_built_batch(np.full(rows, rows % 3) if isinstance(rows, int) else rows)
         expected, failures = reference_reports(batch, 1e-9)
         assert cli._write_reports(batch, 1e-9) == failures
@@ -701,6 +704,15 @@ class TestGeodesicOnce:
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("end", [0.0, 5e-324, 1e-310, 1e-300, 1.0, math.pi, 700.0, 1e300])
+def test_geodesic_grid_is_linspace_bit_for_bit(end):
+    # the tiny ends take numpy's branch for a step that underflows to 0
+    for samples in (2, 3, 16, 17, 4097):
+        expected = np.linspace(0.0, end, samples).tolist()
+        got = list(cli._grid(end, samples))
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
+
+
 class TestCountCap:
     @pytest.mark.parametrize("argv, option", [
         (["verify", "--sample", "hyperbolic"], "--count"),
@@ -714,9 +726,8 @@ class TestCountCap:
         def allocate(*args, **kwargs):
             raise AssertionError("allocated before the count check")
 
-        for name in ("_sample_rows", "_sample_classified", "law_batch"):
+        for name in ("_sample_rows", "_sample_classified", "law_batch", "_grid"):
             monkeypatch.setattr(cli, name, allocate)
-        monkeypatch.setattr(np, "linspace", allocate)
         argv = argv + [option, str(MAX_COUNT + 1)]
         stdin = GEODESIC if argv[0] == "export-geodesic" else HYP
         code, out, err = run_cli(capsys, monkeypatch, argv, stdin=stdin)
@@ -774,3 +785,45 @@ def test_readme_examples_exit_0(capsys, monkeypatch, argv, stdin):
     code, out, err = run_cli(capsys, monkeypatch, argv, stdin=stdin)
     assert (code, err) == (EXIT_OK, "")
     assert out
+
+
+# Runs in a fresh interpreter: the scalar commands, then whether numpy has
+# been executed, then two array commands, each command's (code, stdout).
+FRESH = """
+import io, json, sys
+import minktrig, minktrig.cli
+
+def run(argv, stdin):
+    sys.stdin, sys.stdout = io.StringIO(stdin), io.StringIO()
+    try:
+        return minktrig.cli.main(argv), sys.stdout.getvalue()
+    finally:
+        sys.stdin, sys.stdout = sys.__stdin__, sys.__stdout__
+
+scalar, array = json.loads(sys.stdin.read())
+outputs = [run(argv, stdin) for argv, stdin in scalar]
+lazy = "numpy._core" not in sys.modules
+outputs += [run(argv, stdin) for argv, stdin in array]
+print(json.dumps([lazy, outputs]))
+"""
+
+
+def test_scalar_commands_run_without_numpy(capsys, monkeypatch):
+    # conftest imports numpy, so only a fresh interpreter reaches the lazy
+    # path; the array commands there load numpy and write the same bytes
+    scalar = [p.values for p in readme_commands()
+              if p.values[0][0] in ("classify", "polar", "export-geodesic")]
+    assert len(scalar) == 3
+    array = [(["verify", "--sample", "hyperbolic", "--count", "4", "--seed", "3"], ""),
+             (["sample", "--family", "tempolateral", "--count", "3"], "")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", FRESH], env=env, timeout=60,
+                          input=json.dumps([scalar, array]), capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lazy, outputs = json.loads(proc.stdout)
+    assert lazy
+    expected = [list(run_cli(capsys, monkeypatch, argv, stdin=stdin)[:2])
+                for argv, stdin in scalar + array]
+    assert outputs == expected

@@ -81,6 +81,7 @@ class TestSampleTriangle:
 
     def test_budget_exhaustion_reports_rate(self, monkeypatch):
         monkeypatch.setattr(samplers, "_REJECTION_BUDGET", 2)
+        monkeypatch.setattr(samplers, "_BUDGET_PER_ROW", 0)
         spec = SampleSpec(family="multiple", count=5, seed=35)
         with pytest.raises(RejectionBudgetExhausted) as exc:
             sample_triangle(spec)
@@ -114,8 +115,9 @@ class TestBlockSampling:
     ])
     def test_budget_counts_candidates(self, family, count, budget, monkeypatch):
         # about half the contractible candidates are accepted, so 500 cannot
-        # give 400
+        # give 400; the budget is the floor alone, with nothing per row
         monkeypatch.setattr(samplers, "_REJECTION_BUDGET", budget)
+        monkeypatch.setattr(samplers, "_BUDGET_PER_ROW", 0)
         spec = SampleSpec(family=family, count=count, seed=53)
         with pytest.raises(RejectionBudgetExhausted) as exc:
             _sample_rows(spec)
@@ -139,6 +141,32 @@ class TestBlockSampling:
         assert (exc.value.attempts, exc.value.accepted) == (300_000, 0)
         assert sum(sizes) == 300_000
         assert max(sizes) == samplers._MAX_BLOCK
+
+    @pytest.mark.parametrize("family", ["hyperbolic", "spatiolateral_contractible"])
+    def test_budget_grows_with_the_count(self, family, monkeypatch):
+        # these families refuse some candidates, so one candidate per row
+        # stops short of the count; 25 per row complete it, with the rows of
+        # the unclipped budget
+        spec = SampleSpec(family=family, count=2000, seed=57)
+        expected = _sample_rows(spec)
+        monkeypatch.setattr(samplers, "_REJECTION_BUDGET", spec.count)
+        assert np.array_equal(_sample_rows(spec), expected)
+        monkeypatch.setattr(samplers, "_BUDGET_PER_ROW", 1)
+        with pytest.raises(RejectionBudgetExhausted) as exc:
+            _sample_rows(spec)
+        assert exc.value.attempts == spec.count
+
+    def test_a_starving_family_still_exhausts_its_budget(self, monkeypatch):
+        # every candidate is refused, so the batch draws 25 per row and stops
+        def refused(rng, spec, size):
+            return np.zeros((size, 3, 3))
+
+        monkeypatch.setitem(samplers._MAKERS, "hyperbolic", refused)
+        monkeypatch.setattr(samplers, "_REJECTION_BUDGET", 1000)
+        spec = SampleSpec(family="hyperbolic", count=400, seed=58)
+        with pytest.raises(RejectionBudgetExhausted) as exc:
+            _sample_rows(spec)
+        assert (exc.value.attempts, exc.value.accepted) == (10_000, 0)
 
     def test_mixed_batches_take_single_block_rows(self):
         # family j's rows are one batch of the family, from the j-th seed
