@@ -12,13 +12,16 @@ refuses its unknown fields.  verify adds --tolerance, the residual bound (with
 verify sampled triangles instead; export-geodesic adds --samples.  sample
 reads no input and takes --family, --count and --seed.
 
-classify, polar and sample build their payload as a dict and write it with
-json.dumps.  verify writes its reports as text read straight off the
-LawBatch columns, formatting each distinct residual once; its bytes are
-those json.dumps would write for the same payload.  export-geodesic builds
-the t grid np.linspace would, evaluates each point from the segment's floats
-and writes each row as the reprs of its floats, the bytes csv.writer would
-write for them, a few thousand rows per write.
+classify and polar fill in a template of their reply from the
+classification or the polar triangle; the bytes are those json.dumps would
+write for the payload as a dict.  sample, and polar's nonexistent and
+zero-triangle replies, which hold no infinity or NaN, build their payload as a
+dict and write it with json.dumps.  verify writes its reports as text read
+straight off the LawBatch columns, formatting each distinct residual once;
+its bytes too are those json.dumps would write for the same payload.
+export-geodesic builds the t grid np.linspace would, evaluates each point
+from the segment's floats and writes each row as the reprs of its floats, the
+bytes csv.writer would write for them, a few thousand rows per write.
 
 classify, polar and export-geodesic run on floats alone and never execute
 numpy, which a fresh process would otherwise spend about two fifths of its
@@ -63,31 +66,18 @@ class InputError(Exception):
     pass
 
 
-def _jsonify(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return value
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
+# The types _parse_vec reads as numbers, bool (a subclass of int) aside.
+_NUMBER = (int, float)
 
 
 def _emit(payload: dict) -> None:
-    """Write the payload as one line of JSON, infinities as "inf".
+    """Write the payload as one line of JSON.  It holds no infinity or NaN,
+    which json.dumps would write as literals that strict JSON readers refuse.
 
     json.dumps runs the C encoder, where json.dump to a stream runs the Python
-    one.  A payload with no infinity or NaN, the usual case, is written as it
-    is; _jsonify walks only the others.
+    one.
     """
-    payload = {"schema": SCHEMA, **payload}
-    try:
-        text = json.dumps(payload, allow_nan=False)
-    except ValueError:  # an infinite length or residual, or a NaN
-        text = json.dumps(_jsonify(payload))
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(json.dumps({"schema": SCHEMA, **payload}) + "\n")
 
 
 def _fail(code: int, error: str, message: str) -> int:
@@ -121,18 +111,22 @@ def _check_fields(data: dict, allowed: set, strict: bool) -> None:
 
 
 def _parse_vec(raw, name: str) -> MVec3:
-    """Three finite JSON numbers; booleans, NaN and +-Infinity are refused."""
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 3
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in raw)):
-        raise InputError(f"{name} must be an array of 3 numbers")
-    try:
-        coords = [float(v) for v in raw]
-    except OverflowError:  # an integer beyond the float range
-        coords = None
-    if coords is None or not all(math.isfinite(v) for v in coords):
-        raise InputError(f"{name} must have finite coordinates")
-    return MVec3(*coords)
+    """Three finite JSON numbers; booleans, NaN and +-Infinity are refused.
+    A value that is not a number is named before one that is not finite."""
+    if isinstance(raw, (list, tuple)) and len(raw) == 3:
+        x, y, z = raw
+        if (isinstance(x, _NUMBER) and isinstance(y, _NUMBER)
+                and isinstance(z, _NUMBER) and type(x) is not bool
+                and type(y) is not bool and type(z) is not bool):
+            try:
+                x, y, z = float(x), float(y), float(z)
+            except OverflowError:  # an integer beyond the float range
+                pass
+            else:
+                if x - x == 0.0 and y - y == 0.0 and z - z == 0.0:  # all finite
+                    return MVec3(x, y, z)
+            raise InputError(f"{name} must have finite coordinates")
+    raise InputError(f"{name} must be an array of 3 numbers")
 
 
 def _in_range(value: int, option: str, least: int, most: float = math.inf) -> int:
@@ -147,11 +141,35 @@ def _parse_triangle(data: dict) -> Triangle:
     verts = data.get("vertices")
     if not isinstance(verts, list) or len(verts) != 3:
         raise InputError("'vertices' must be an array of 3 vertices")
-    vs = [_parse_vec(v, f"vertices[{i}]") for i, v in enumerate(verts)]
+    a, b, c = verts
+    a = _parse_vec(a, "vertices[0]")
+    b = _parse_vec(b, "vertices[1]")
+    c = _parse_vec(c, "vertices[2]")
     try:
-        return Triangle.from_vectors(*vs)
+        return Triangle.from_vectors(a, b, c)
     except MinkTrigError as exc:
         raise InputError(str(exc))
+
+
+def _number(x: float) -> str:
+    """A float as a reply holds it: its repr, "inf" for either infinity, NaN."""
+    if x - x == 0.0:  # finite
+        return repr(x)
+    return "NaN" if x != x else '"inf"'
+
+
+# The classify and polar replies, in the key order and with the separators
+# json.dumps writes.  Every string filled in is an enum value, a side label
+# or a literal of _LITERAL, none of which needs escaping.
+_CLASSIFY = ('{"schema": "' + SCHEMA + '", "family": "%s", "proper_kind": %s, '
+             '"sides": [{"label": "a", "kind": "%s", "length": %s}, '
+             '{"label": "b", "kind": "%s", "length": %s}, '
+             '{"label": "c", "kind": "%s", "length": %s}], '
+             '"impossible_sides": [%s], "degenerate": %s, "contractible": %s, '
+             '"triangle_inequality": {"holds": %s, "predicted": %s}}\n')
+_POLAR = ('{"schema": "' + SCHEMA + '", "vertices": [[%s, %s, %s], [%s, %s, %s], '
+          '[%s, %s, %s]], "epsilon": %d}\n')
+_LITERAL = {True: "true", False: "false", None: "null"}
 
 
 def cmd_classify(args) -> int:
@@ -160,20 +178,18 @@ def cmd_classify(args) -> int:
     t = _parse_triangle(data)
     cls, sides = classify_triangle(t)
     ineq = _inequality_report(cls, sides)
-    _emit({
-        "family": cls.family.value,
-        "proper_kind": cls.proper_kind.value if cls.proper_kind else None,
-        "sides": [
-            {"label": s.label, "kind": s.kind.value, "length": s.length}
-            for s in sides
-        ],
-        "impossible_sides": list(cls.impossible_sides),
-        "degenerate": cls.degenerate,
-        "contractible": cls.contractible,
-        "triangle_inequality": {
-            "holds": ineq.holds, "predicted": ineq.predicted,
-        },
-    })
+    a, b, c = sides
+    kind = cls.proper_kind
+    impossible = cls.impossible_sides
+    # an enum member's _value_ is its value, read in a fifth of the time the
+    # .value descriptor takes
+    sys.stdout.write(_CLASSIFY % (
+        cls.family._value_, "null" if kind is None else '"%s"' % kind._value_,
+        a.kind._value_, _number(a.length), b.kind._value_, _number(b.length),
+        c.kind._value_, _number(c.length),
+        '"%s"' % '", "'.join(impossible) if impossible else "",
+        _LITERAL[cls.degenerate], _LITERAL[cls.contractible],
+        _LITERAL[ineq.holds], _LITERAL[ineq.predicted]))
     return EXIT_OK
 
 
@@ -189,10 +205,10 @@ def cmd_polar(args) -> int:
     if result.zero_triangle:
         _emit({"zero_triangle": True, "epsilon": 0})
         return EXIT_OK
-    _emit({
-        "vertices": [list(v.as_tuple()) for v in result.vertices],
-        "epsilon": result.epsilon,
-    })
+    a, b, c = result.vertices
+    sys.stdout.write(_POLAR % (
+        _number(a.x1), _number(a.x2), _number(a.x3), _number(b.x1), _number(b.x2),
+        _number(b.x3), _number(c.x1), _number(c.x2), _number(c.x3), result.epsilon))
     return EXIT_OK
 
 
@@ -236,13 +252,6 @@ _REPORT_ROWS = 4096
 # Rows from which the numpy calls of _write_reports, np.unique over the
 # residuals among them, cost less than formatting each value of a list.
 _UNIQUE_ROWS = 4
-
-
-def _number(x: float) -> str:
-    """A float as _emit writes it: its repr, "inf" for either infinity, NaN."""
-    if x - x == 0.0:  # finite
-        return repr(x)
-    return "NaN" if x != x else '"inf"'
 
 
 def _floats(x):

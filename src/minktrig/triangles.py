@@ -53,8 +53,6 @@ from .surfaces import (
     surface_point,
 )
 
-SIDE_LABELS = ("a", "b", "c")
-
 
 class TriangleFamily(Enum):
     HYPERBOLIC = "hyperbolic"
@@ -191,6 +189,16 @@ _KIND_TABLE = {
 }
 
 
+# The labels of a triangle's empty sides, by whether sides a, b and c are
+# empty.
+_IMPOSSIBLE = {
+    (False, False, False): (), (True, False, False): ("a",),
+    (False, True, False): ("b",), (False, False, True): ("c",),
+    (True, True, False): ("a", "b"), (True, False, True): ("a", "c"),
+    (False, True, True): ("b", "c"), (True, True, True): ("a", "b", "c"),
+}
+
+
 def classify_triangle(t: Triangle):
     """Classify a triangle; returns (TriangleClass, [SideReport])."""
     cls, sides, _ = _classify(t)
@@ -198,33 +206,42 @@ def classify_triangle(t: Triangle):
 
 
 def _classify(t: Triangle):
-    """classify_triangle, plus the geometry it was read off."""
-    comps = tuple(v.component for v in t.vertices())
-    if all(c is Component.H2 for c in comps):
-        family = TriangleFamily.HYPERBOLIC
-    elif all(c is Component.NEG_H2 for c in comps):
-        family = TriangleFamily.ANTIPODAL_HYPERBOLIC
-    elif all(c is Component.DE_SITTER for c in comps):
-        family = TriangleFamily.PROPER
-    else:
+    """classify_triangle, plus the geometry it was read off.  The three
+    sides are read once into locals, and each verdict over them is written
+    out side by side."""
+    comps = ca, cb, cc = t.A.component, t.B.component, t.C.component
+    if ca is not cb or cb is not cc:
         family = TriangleFamily.STRANGE
+    elif ca is Component.H2:
+        family = TriangleFamily.HYPERBOLIC
+    elif ca is Component.NEG_H2:
+        family = TriangleFamily.ANTIPODAL_HYPERBOLIC
+    else:
+        family = TriangleFamily.PROPER
 
     g = _geometry(t)
-    sides = [SideReport(label, s.kind, s.length)
-             for label, s in zip(SIDE_LABELS, g.sides)]
-    impossible = tuple(s.label for s in sides if s.kind is SegmentKind.EMPTY)
+    sa, sb, sc = g.sides
+    ka, kb, kc = sa.kind, sb.kind, sc.kind
+    sides = [SideReport("a", ka, sa.length), SideReport("b", kb, sb.length),
+             SideReport("c", kc, sc.length)]
+    empty = SegmentKind.EMPTY
+    impossible = _IMPOSSIBLE[ka is empty, kb is empty, kc is empty]
 
     proper_kind = None
     contractible = None
     if family is TriangleFamily.PROPER and not impossible:
+        spacelike = SegmentKind.DE_SITTER_SPACELIKE
+        timelike = SegmentKind.DE_SITTER_TIMELIKE
+        lightlike = SegmentKind.DE_SITTER_LIGHTLIKE
         counts = (
-            sum(s.kind is SegmentKind.DE_SITTER_SPACELIKE for s in sides),
-            sum(s.kind is SegmentKind.DE_SITTER_TIMELIKE for s in sides),
-            sum(s.kind is SegmentKind.DE_SITTER_LIGHTLIKE for s in sides),
+            (ka is spacelike) + (kb is spacelike) + (kc is spacelike),
+            (ka is timelike) + (kb is timelike) + (kc is timelike),
+            (ka is lightlike) + (kb is lightlike) + (kc is lightlike),
         )
         proper_kind = _KIND_TABLE[counts]
         if counts == (3, 0, 0):
-            contractible = any(_anchors([s.p for s in g.sides]))
+            anchor_a, anchor_b, anchor_c = _anchors((sa.p, sb.p, sc.p))
+            contractible = anchor_a or anchor_b or anchor_c
             proper_kind = (
                 ProperKind.SPATIOLATERAL_CONTRACTIBLE
                 if contractible
@@ -234,13 +251,13 @@ def _classify(t: Triangle):
     cls = TriangleClass(
         family=family,
         proper_kind=proper_kind,
-        side_kinds=tuple(s.kind for s in sides),
+        side_kinds=(ka, kb, kc),
         impossible_sides=impossible,
         degenerate=g.degenerate,
         contractible=contractible,
         vertex_components=comps,
-        has_opposite_vertices=any(s.opposite for s in g.sides),
-        has_lightlike_side_plane=any(s.lightlike for s in g.sides),
+        has_opposite_vertices=sa.opposite or sb.opposite or sc.opposite,
+        has_lightlike_side_plane=sa.lightlike or sb.lightlike or sc.lightlike,
     )
     return cls, sides, g
 
@@ -399,9 +416,10 @@ class InequalityReport:
 _ISOSCELES_TOL = 1e-9
 
 
-def _predicted_inequality(cls: TriangleClass, sides) -> Optional[bool]:
-    lengths = [s.length for s in sides]
-    infinite = sum(math.isinf(x) for x in lengths)
+def _predicted_inequality(cls: TriangleClass, la: float, lb: float,
+                          lc: float) -> Optional[bool]:
+    """Whether the triangle inequality is predicted to hold for a class with
+    side lengths la, lb and lc, or None where it holds only case by case."""
     if cls.degenerate:
         return True
     # hyperbolic triangles obey it; a strange triangle's vertices lie on two or
@@ -409,7 +427,7 @@ def _predicted_inequality(cls: TriangleClass, sides) -> Optional[bool]:
     if cls.family is not TriangleFamily.PROPER:
         return True
     if cls.impossible_sides:
-        return infinite >= 2
+        return math.isinf(la) + math.isinf(lb) + math.isinf(lc) >= 2
     pk = cls.proper_kind
     if pk is ProperKind.TEMPOLATERAL:
         return False
@@ -419,12 +437,13 @@ def _predicted_inequality(cls: TriangleClass, sides) -> Optional[bool]:
         return False
     if pk is ProperKind.LUCILATERAL:
         return True
-    if pk in (ProperKind.PHOTOSCELES_SPACELIKE_BASE,
-              ProperKind.PHOTOSCELES_TIMELIKE_BASE):
+    if (pk is ProperKind.PHOTOSCELES_SPACELIKE_BASE
+            or pk is ProperKind.PHOTOSCELES_TIMELIKE_BASE):
         return False
-    if pk in (ProperKind.BIMETRICAL_CHOROSCELES,
-              ProperKind.BIMETRICAL_CHRONOSCELES):
-        measurable = sorted(x for x in lengths if x > 0.0)
+    if (pk is ProperKind.BIMETRICAL_CHOROSCELES
+            or pk is ProperKind.BIMETRICAL_CHRONOSCELES):
+        # the two sides of positive length, if two there are, are equal
+        measurable = [x for x in (la, lb, lc) if x > 0.0]
         if len(measurable) != 2:
             return None
         return abs(measurable[0] - measurable[1]) <= _ISOSCELES_TOL
@@ -438,10 +457,11 @@ def triangle_inequality_report(t: Triangle) -> InequalityReport:
 
 def _inequality_report(cls: TriangleClass, sides) -> InequalityReport:
     """The triangle inequality report of a classification already made."""
-    la, lb, lc = (s.length for s in sides)
+    a, b, c = sides
+    la, lb, lc = a.length, b.length, c.length
     holds = (lb + lc >= la) and (la + lc >= lb) and (la + lb >= lc)
     return InequalityReport(
         holds=holds,
         lengths=(la, lb, lc),
-        predicted=_predicted_inequality(cls, sides),
+        predicted=_predicted_inequality(cls, la, lb, lc),
     )

@@ -1,7 +1,9 @@
 """Shared fixtures, and the test oracles: seeded Lorentz maps, point and
-segment samplers, and a quadrature arc length independent of the closed-form
-distance.  The package itself uses none of them."""
+segment samplers, a quadrature arc length independent of the closed-form
+distance, and the CLI's replies as json.dumps writes them.  The package itself
+uses none of them."""
 
+import json
 import math
 
 import numpy as np
@@ -11,9 +13,11 @@ from minktrig.errors import (
     EmptySegment,
     MinkTrigError,
     RejectionBudgetExhausted,
+    PolarNonExistent,
     UnsupportedFamily,
 )
 from minktrig.mink import MVec3
+from minktrig.polar import polar_triangle
 from minktrig.surfaces import (
     Component,
     SegmentKind,
@@ -23,7 +27,7 @@ from minktrig.surfaces import (
     surface_point,
     tangent_vector,
 )
-from minktrig.triangles import LawFamily
+from minktrig.triangles import LawFamily, classify_triangle, triangle_inequality_report
 
 
 SQRT2 = math.sqrt(2.0)
@@ -173,6 +177,57 @@ def arc_length_oracle(
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float((T / steps) / 3.0 * np.dot(w, speed))
+
+
+def jsonify(value):
+    """The CLI's stand-in for infinities: the string "inf", either sign."""
+    if isinstance(value, float):
+        return "inf" if math.isinf(value) else value
+    if isinstance(value, dict):
+        return {k: jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonify(v) for v in value]
+    return value
+
+
+def emitted(payload):
+    """The CLI's reply for a payload: json.dumps, through jsonify where the
+    payload holds an infinity or a NaN."""
+    payload = {"schema": "minktrig/1", **payload}
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        text = json.dumps(jsonify(payload))
+    return text + "\n"
+
+
+def classify_reply(t) -> str:
+    """The classify reply for triangle t, from the payload as a dict."""
+    cls, sides = classify_triangle(t)
+    ineq = triangle_inequality_report(t)
+    return emitted({
+        "family": cls.family.value,
+        "proper_kind": cls.proper_kind.value if cls.proper_kind else None,
+        "sides": [{"label": s.label, "kind": s.kind.value, "length": s.length}
+                  for s in sides],
+        "impossible_sides": list(cls.impossible_sides),
+        "degenerate": cls.degenerate,
+        "contractible": cls.contractible,
+        "triangle_inequality": {"holds": ineq.holds, "predicted": ineq.predicted},
+    })
+
+
+def polar_reply(t) -> tuple:
+    """The polar exit code and reply for triangle t, from the payload as a
+    dict."""
+    try:
+        result = polar_triangle(t)
+    except PolarNonExistent as exc:
+        return 3, emitted({"nonexistent": exc.reason, "epsilon": None})
+    if result.zero_triangle:
+        return 0, emitted({"zero_triangle": True, "epsilon": 0})
+    return 0, emitted({"vertices": [list(v.as_tuple()) for v in result.vertices],
+                       "epsilon": result.epsilon})
 
 
 # verdict lines recorded by the acceptance suite, echoed after capture ends

@@ -25,7 +25,15 @@ from minktrig.cli import (
     main,
 )
 
-from conftest import SQRT2, law_families, vec
+from conftest import (
+    SQRT2,
+    classify_reply,
+    emitted,
+    law_families,
+    polar_reply,
+    random_lorentz,
+    vec,
+)
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=None):
@@ -482,28 +490,6 @@ class TestProcess:
         assert out == expected.getvalue() + "\n"
 
 
-def jsonify(value):
-    """_emit's stand-in for infinities: the string "inf", either sign."""
-    if isinstance(value, float):
-        return "inf" if math.isinf(value) else value
-    if isinstance(value, dict):
-        return {k: jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
-    return value
-
-
-def emitted(payload):
-    """What _emit writes for a payload: json.dumps, through jsonify where the
-    payload holds an infinity or a NaN."""
-    payload = {"schema": "minktrig/1", **payload}
-    try:
-        text = json.dumps(payload, allow_nan=False)
-    except ValueError:
-        text = json.dumps(jsonify(payload))
-    return text + "\n"
-
-
 def reference_reports(batch, bound):
     """verify's output written the way it used to be: one dict per row, then
     json.dumps of the whole payload.  Returns the text and the failure count."""
@@ -645,24 +631,117 @@ class TestClassifyOnce:
         spec = samplers.SampleSpec(family=family, count=4, seed=5)
         for t in [*samplers.sample_triangle(spec), triangles.Triangle.from_vectors(
                 *(vec(*v) for v in json.loads(HYP)["vertices"]))]:
-            cls, sides = classify(t)
-            ineq = triangles.triangle_inequality_report(t)
+            expected = classify_reply(t)
             calls.clear()
-            expected = emitted({
-                "family": cls.family.value,
-                "proper_kind": cls.proper_kind.value if cls.proper_kind else None,
-                "sides": [{"label": s.label, "kind": s.kind.value, "length": s.length}
-                          for s in sides],
-                "impossible_sides": list(cls.impossible_sides),
-                "degenerate": cls.degenerate,
-                "contractible": cls.contractible,
-                "triangle_inequality": {"holds": ineq.holds,
-                                        "predicted": ineq.predicted},
-            })
             payload = triangle_payload(*(v.coords.as_tuple() for v in t.vertices()))
             code, out, _ = run_cli(capsys, monkeypatch, ["classify"], stdin=payload)
             assert (code, out) == (EXIT_OK, expected)
             assert len(calls) == 1
+
+
+def mapped_rows(family, count, seed):
+    """count sampled rows of family, each under a random orthochronous map,
+    as vertex lists."""
+    rng = np.random.default_rng(seed)
+    rows = samplers._sample_rows(samplers.SampleSpec(family=family, count=count,
+                                                     seed=seed))
+    return [(row @ random_lorentz(rng).T).tolist() for row in rows]
+
+
+def parsed(stdin):
+    """The triangle of a request's vertices, read as the reference reads it."""
+    return triangles.Triangle.from_vectors(
+        *(vec(*v) for v in json.loads(stdin)["vertices"]))
+
+
+ZERO = triangle_payload((0, 1, 0), (0, 0, 1), (0, SQRT2 / 2, SQRT2 / 2))
+OPPOSITE = triangle_payload((0, 1, 0), (0, -1, 0), (0, 0, 1))
+LIGHTLIKE = triangle_payload((0, 1, 0), (1, 1, 1), (0, 0, 1))
+
+
+class TestReplies:
+    """classify and polar write the bytes of json.dumps of the payload the
+    reference builds as a dict (conftest.classify_reply, polar_reply)."""
+
+    def test_sampled_rows_and_fixtures_match_the_reference(self, capsys, monkeypatch):
+        # 8 rows of each family under random orthochronous maps, the zero
+        # triangle, both nonexistent reasons and two fixtures; then every kind
+        # of value must have been written: infinite lengths, the three
+        # nullable fields as null, both booleans, both reasons
+        replies = []
+        requests = [triangle_payload(*rows) for family in samplers.FAMILIES
+                    for rows in mapped_rows(family, 8, 31)]
+        for stdin in requests + [ZERO, OPPOSITE, LIGHTLIKE, HYP, CHRONO]:
+            t = parsed(stdin)
+            for command, (code, expected) in (("classify", (EXIT_OK, classify_reply(t))),
+                                              ("polar", polar_reply(t))):
+                assert run_cli(capsys, monkeypatch, [command], stdin=stdin) == (
+                    code, expected, ""), (command, stdin)
+                replies.append(expected)
+        text = "".join(replies)
+        for fragment in ['"length": "inf"', '"proper_kind": null',
+                         '"contractible": null', '"predicted": null',
+                         '"contractible": true', '"contractible": false',
+                         '"degenerate": true', '"impossible_sides": ["',
+                         '"zero_triangle": true', '"epsilon": -1',
+                         '"nonexistent": "OppositeVertices"',
+                         '"nonexistent": "LightlikeSidePlane"']:
+            assert fragment in text
+
+
+# Each vertex value's exit and message through classify, read as the first
+# vertex of a triangle whose other two are valid: the type check of all three
+# values comes before the finite test.
+PARSE_TABLE = [
+    ("[true, 0, 0]", EXIT_INPUT, "vertices[0] must be an array of 3 numbers"),
+    ("[0, false, 1]", EXIT_INPUT, "vertices[0] must be an array of 3 numbers"),
+    ("[null, 1, 0]", EXIT_INPUT, "vertices[0] must be an array of 3 numbers"),
+    ('["0", 1, 0]', EXIT_INPUT, "vertices[0] must be an array of 3 numbers"),
+    ("[1" + "0" * 400 + ", 1, 0]", EXIT_INPUT, "vertices[0] must have finite coordinates"),
+    ("[0, -1" + "0" * 400 + ", 0]", EXIT_INPUT, "vertices[0] must have finite coordinates"),
+    ("[NaN, 1, 0]", EXIT_INPUT, "vertices[0] must have finite coordinates"),
+    ("[0, Infinity, 0]", EXIT_INPUT, "vertices[0] must have finite coordinates"),
+    ("[0, 1, -Infinity]", EXIT_INPUT, "vertices[0] must have finite coordinates"),
+    ("[NaN, true, 0]", EXIT_INPUT, "vertices[0] must be an array of 3 numbers"),
+    ("[1" + "0" * 400 + ", NaN, null]", EXIT_INPUT,
+     "vertices[0] must be an array of 3 numbers"),
+    ("[0, 1]", EXIT_INPUT, "vertices[0] must be an array of 3 numbers"),
+    ("[0, 1, 0, 0]", EXIT_INPUT, "vertices[0] must be an array of 3 numbers"),
+    ("[[0], 1, 0]", EXIT_INPUT, "vertices[0] must be an array of 3 numbers"),
+    ("[[0, 1, 0]]", EXIT_INPUT, "vertices[0] must be an array of 3 numbers"),
+    ('{"0": 0}', EXIT_INPUT, "vertices[0] must be an array of 3 numbers"),
+    ("0", EXIT_INPUT, "vertices[0] must be an array of 3 numbers"),
+    ("[-0.0, 1, 0]", EXIT_OK, ""),
+    ("[5e-324, 1, -0.0]", EXIT_OK, ""),
+    ("[9007199254740993, 9007199254740993, 1]", EXIT_OK, ""),
+    ("[0.5, 0, 0]", EXIT_INPUT,
+     "(0.5, 0.0, 0.0) has self-product -0.25, not +-1"),
+]
+
+
+class TestParseVec:
+    @pytest.mark.parametrize("raw, code, message", PARSE_TABLE)
+    def test_vertex_exit_and_message(self, capsys, monkeypatch, raw, code, message):
+        stdin = '{"vertices": [%s, [0, 0, 1], [0, 0.6, 0.8]]}' % raw
+        got, out, err = run_cli(capsys, monkeypatch, ["classify"], stdin=stdin)
+        assert (got, err) == (code, f"input error: {message}\n" if message else "")
+        if code == EXIT_OK:
+            assert out == classify_reply(parsed(stdin))
+
+    @pytest.mark.parametrize("raw, code, message", [
+        row for row in PARSE_TABLE if row[2].startswith("vertices[0]")])
+    def test_later_vertices_and_geodesic_ends_are_named(self, capsys, monkeypatch,
+                                                        raw, code, message):
+        stdin = '{"vertices": [[0, 0, 1], [0, 0.6, 0.8], %s]}' % raw
+        assert run_cli(capsys, monkeypatch, ["polar"], stdin=stdin) == (
+            code, "", "input error: %s\n" % message.replace("vertices[0]", "vertices[2]"))
+        stdin = '{"a": [0, 1, 0], "b": %s}' % raw
+        assert run_cli(capsys, monkeypatch, ["export-geodesic"], stdin=stdin) == (
+            code, "", "input error: %s\n" % message.replace("vertices[0]", "b"))
+
+    @pytest.mark.parametrize("raw", [(0, 1, 0), [0.0, 1.0, 0.0], (np.float64(0.5), 1, 2)])
+    def test_tuples_lists_and_float_subclasses_are_read(self, raw):
+        assert cli._parse_vec(raw, "v").as_tuple() == tuple(float(v) for v in raw)
 
 
 class TestGeodesicOnce:

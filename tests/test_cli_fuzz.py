@@ -1,5 +1,6 @@
 """The command line boundary under hostile input: every call ends in a
-documented exit code, never an exception."""
+documented exit code, never an exception, and every classify and polar reply
+is the bytes json.dumps writes for its payload."""
 
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,9 @@ from hypothesis import strategies as st
 from minktrig import cli
 from minktrig.cli import EXIT_DOMAIN, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, MAX_COUNT
 from minktrig.samplers import FAMILIES
+from minktrig.triangles import Triangle
+
+from conftest import classify_reply, polar_reply, vec
 
 EXITS = {EXIT_OK, EXIT_INPUT, EXIT_DOMAIN, EXIT_VERIFY}
 
@@ -73,22 +78,42 @@ def argvs(draw):
     return argv
 
 
-def run(argv, raw: bytes) -> int:
+def run(argv, raw: bytes, request: Optional[bytes] = None) -> int:
     """cli.main(argv) with raw on stdin, read as UTF-8, and the output held
-    in memory."""
+    in memory.  An exit-0 classify or polar call must write the reference
+    reply of its request, raw unless given."""
     saved = sys.stdin, sys.stdout, sys.stderr
     sys.stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
     sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
     try:
-        return cli.main(argv)
+        code = cli.main(argv)
+        out = sys.stdout.getvalue()
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved
+    if code == EXIT_OK and argv[0] in ("classify", "polar"):
+        data = json.loads((raw if request is None else request).decode("utf-8"))
+        t = Triangle.from_vectors(*(vec(*v) for v in data["vertices"]))
+        assert out == (classify_reply(t) if argv[0] == "classify" else polar_reply(t)[1])
+    return code
 
 
 @settings(max_examples=200, deadline=None)
 @given(argvs(), STDIN)
 def test_every_input_ends_in_a_documented_exit(argv, raw):
     assert run(argv, raw) in EXITS
+
+
+# Triangle requests, half of them with three distinct vertices on the
+# quadric, so that many reach the classifier and the polar construction.
+TRIANGLES = st.fixed_dictionaries({"vertices": st.one_of(
+    st.lists(ON, min_size=3, max_size=3, unique_by=tuple),
+    st.lists(VECTORS, min_size=3, max_size=3))})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["classify", "polar"]), TRIANGLES)
+def test_every_reply_is_its_reference(command, request):
+    assert run([command], json.dumps(request).encode()) in EXITS
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,4 +127,4 @@ def test_every_file_ends_in_a_documented_exit(command, strict, raw):
         with open(path, "wb") as fh:
             fh.write(raw)
         argv = [command, "--file", path] + (["--strict"] if strict else [])
-        assert run(argv, b"") in EXITS
+        assert run(argv, b"", raw) in EXITS
