@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MVec3:
     """A vector of R^3 under the indefinite product.  x1 is the time coordinate."""
 

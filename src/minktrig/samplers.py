@@ -86,8 +86,10 @@ class SampleSpec:
 def sample_triangle(spec: SampleSpec) -> List[Triangle]:
     """Batch of triangles whose classification matches spec.family: the rows
     of _sample_rows, as triangles."""
-    return [Triangle.from_vectors(*(MVec3(*v) for v in row))
-            for row in _sample_rows(spec).tolist()]
+    return [Triangle.from_vectors(MVec3(a1, a2, a3), MVec3(b1, b2, b3),
+                                  MVec3(c1, c2, c3))
+            for a1, a2, a3, b1, b2, b3, c1, c2, c3
+            in _sample_rows(spec).reshape(-1, 9).tolist()]
 
 
 # The sampleable families whose triangles have trig laws.

@@ -19,6 +19,11 @@ they cannot disagree.
 n2 is evaluated from the cross product rather than as p^2 - <<a,a>><<b,b>>: on
 a short side p is close to 1 and that difference loses the digits the cross
 product keeps.
+
+_side computes the rule on the six coordinates as floats, in the operation
+order of the mink functions, so each value keeps every bit theirs would have;
+the only object it builds besides its _Side is the cross product a x b, which
+the triangle's determinant and the polar vertices are read from.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .errors import (
     OffSurfaceError,
     ParamOutOfRange,
 )
-from .mink import MVec3, cross, euclid_dot, minkowski_norm, minkowski_product
+from .mink import MVec3, cross, minkowski_norm, minkowski_product
 
 
 class Component(Enum):
@@ -50,7 +55,7 @@ class Component(Enum):
     DE_SITTER = "de_sitter"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfacePoint:
     coords: MVec3
     component: Component
@@ -102,10 +107,6 @@ def points_equal(a: SurfacePoint, b: SurfacePoint) -> bool:
     return (a.coords - b.coords).euclid_norm() <= _POINT_EQ_TOL
 
 
-def points_antipodal(a: SurfacePoint, b: SurfacePoint) -> bool:
-    return (a.coords + b.coords).euclid_norm() <= _POINT_EQ_TOL
-
-
 def _clamped_arcosh(arg: float) -> float:
     if arg < 1.0:
         if arg < 1.0 - EPS_CLAMP:
@@ -135,14 +136,21 @@ class _Side(NamedTuple):
 
 
 def _side(a: SurfacePoint, b: SurfacePoint) -> _Side:
+    """The side rule on the six coordinates, read into floats once, in the
+    operation order of minkowski_product, cross, euclid_norm and euclid_dot;
+    the cross product is the one MVec3 it builds."""
     A, B = a.coords, b.coords
-    p = minkowski_product(A, B)
-    n = cross(A, B)
-    n2 = minkowski_product(n, n)
-    equal = points_equal(a, b)
-    opposite = points_antipodal(a, b)
+    a1, a2, a3 = A.x1, A.x2, A.x3
+    b1, b2, b3 = B.x1, B.x2, B.x3
+    p = -a1 * b1 + a2 * b2 + a3 * b3
+    c1, c2, c3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+    n2 = -c1 * c1 + c2 * c2 + c3 * c3
+    d1, d2, d3 = a1 - b1, a2 - b2, a3 - b3
+    equal = math.sqrt(d1 * d1 + d2 * d2 + d3 * d3) <= _POINT_EQ_TOL
+    s1, s2, s3 = a1 + b1, a2 + b2, a3 + b3
+    opposite = math.sqrt(s1 * s1 + s2 * s2 + s3 * s3) <= _POINT_EQ_TOL
     lightlike = (not (equal or opposite)
-                 and abs(n2) <= EPS_LIGHT * euclid_dot(n, n))
+                 and abs(n2) <= EPS_LIGHT * (c1 * c1 + c2 * c2 + c3 * c3))
     if equal:
         kind, length = SegmentKind.POINT, 0.0
     elif opposite or a.component is not b.component:
@@ -163,7 +171,7 @@ def _side(a: SurfacePoint, b: SurfacePoint) -> _Side:
     else:
         kind = SegmentKind.DE_SITTER_SPACELIKE
         length = math.acos(p if p < 1.0 else 1.0)
-    return _Side(kind, length, p, n, n2, lightlike, opposite)
+    return _Side(kind, length, p, MVec3(c1, c2, c3), n2, lightlike, opposite)
 
 
 def distance(a: SurfacePoint, b: SurfacePoint) -> float:

@@ -84,7 +84,7 @@ class LawFamily(Enum):
     TEMPO = "tempolateral"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triangle:
     A: SurfacePoint
     B: SurfacePoint

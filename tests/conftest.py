@@ -1,7 +1,7 @@
 """Shared fixtures, and the test oracles: seeded Lorentz maps, point and
 segment samplers, a quadrature arc length independent of the closed-form
-distance, and the CLI's replies as json.dumps writes them.  The package itself
-uses none of them."""
+distance, the side rule in MVec3 arithmetic, and the CLI's replies as
+json.dumps writes them.  The package itself uses none of them."""
 
 import json
 import math
@@ -16,13 +16,17 @@ from minktrig.errors import (
     PolarNonExistent,
     UnsupportedFamily,
 )
-from minktrig.mink import MVec3
+from minktrig.constants import _POINT_EQ_TOL, EPS_LIGHT
+from minktrig.mink import MVec3, cross, euclid_dot, minkowski_product
 from minktrig.polar import polar_triangle
 from minktrig.surfaces import (
     Component,
     SegmentKind,
     SurfacePoint,
+    _clamped_arcosh,
+    _Side,
     distance,
+    points_equal,
     segment_kind,
     surface_point,
     tangent_vector,
@@ -177,6 +181,39 @@ def arc_length_oracle(
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float((T / steps) / 3.0 * np.dot(w, speed))
+
+
+def side_reference(a: SurfacePoint, b: SurfacePoint) -> _Side:
+    """surfaces._side in MVec3 arithmetic: the products, the cross product
+    and the equal and opposite tests built from MVec3 temporaries, which the
+    float rule must match bit for bit."""
+    A, B = a.coords, b.coords
+    p = minkowski_product(A, B)
+    n = cross(A, B)
+    n2 = minkowski_product(n, n)
+    equal = points_equal(a, b)
+    opposite = (A + B).euclid_norm() <= _POINT_EQ_TOL
+    lightlike = (not (equal or opposite)
+                 and abs(n2) <= EPS_LIGHT * euclid_dot(n, n))
+    if equal:
+        kind, length = SegmentKind.POINT, 0.0
+    elif opposite or a.component is not b.component:
+        kind, length = SegmentKind.EMPTY, math.inf
+    elif a.component is Component.H2:
+        kind, length = SegmentKind.HYPERBOLIC, _clamped_arcosh(-p)
+    elif a.component is Component.NEG_H2:
+        kind, length = SegmentKind.ANTIPODAL_HYPERBOLIC, _clamped_arcosh(-p)
+    elif p <= -1.0:
+        kind, length = SegmentKind.EMPTY, math.inf
+    elif lightlike:
+        kind, length = SegmentKind.DE_SITTER_LIGHTLIKE, 0.0
+    elif n2 > 0.0:
+        kind = SegmentKind.DE_SITTER_TIMELIKE
+        length = math.acosh(p if p > 1.0 else 1.0)
+    else:
+        kind = SegmentKind.DE_SITTER_SPACELIKE
+        length = math.acos(p if p < 1.0 else 1.0)
+    return _Side(kind, length, p, n, n2, lightlike, opposite)
 
 
 def jsonify(value):

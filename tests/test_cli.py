@@ -325,18 +325,22 @@ class TestSample:
             assert code2 == EXIT_OK
             assert json.loads(out2)["proper_kind"] == "chronosceles"
 
-    def test_mixed_batch_is_seeded_and_equals_sample_triangle(self, capsys,
-                                                               monkeypatch):
-        argv = ["sample", "--family", "mixed", "--count", "31", "--seed", "8"]
+    @pytest.mark.parametrize("family", samplers.FAMILIES)
+    def test_batch_is_seeded_and_equals_sample_triangle(self, family, capsys,
+                                                         monkeypatch):
+        # sample writes _sample_rows; sample_triangle wraps the same rows,
+        # and must keep every bit of them, -0.0 included
+        argv = ["sample", "--family", family, "--count", "31", "--seed", "8"]
         code, out, _ = run_cli(capsys, monkeypatch, argv)
         assert code == EXIT_OK
         assert run_cli(capsys, monkeypatch, argv) == (EXIT_OK, out, "")
-        spec = samplers.SampleSpec(family="mixed", count=31, seed=8)
-        assert json.loads(out)["triangles"] == [
-            [list(v.coords.as_tuple()) for v in t.vertices()]
+        spec = samplers.SampleSpec(family=family, count=31, seed=8)
+        rows = json.loads(out)["triangles"]
+        assert [[[x.hex() for x in v] for v in row] for row in rows] == [
+            [[x.hex() for x in v.coords.as_tuple()] for v in t.vertices()]
             for t in samplers.sample_triangle(spec)]
         _, other, _ = run_cli(capsys, monkeypatch, argv[:-1] + ["9"])
-        assert json.loads(other)["triangles"] != json.loads(out)["triangles"]
+        assert json.loads(other)["triangles"] != rows
 
     def test_negative_count_exit_2(self, capsys, monkeypatch):
         code, out, err = run_cli(

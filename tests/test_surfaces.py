@@ -1,30 +1,39 @@
 """Quadric membership, the four distance cases, segments, and angles."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minktrig.constants import _POINT_EQ_TOL
 from minktrig.errors import (
     AntipodalPoints,
     ClampError,
     CoincidentPoints,
     EmptySegment,
     InfiniteSeparation,
+    MinkTrigError,
     MixedSegmentKinds,
     OffSurfaceError,
     ParamOutOfRange,
 )
 from minktrig.mink import E1, E2, MVec3, minkowski_product
+from minktrig.samplers import FAMILIES, SampleSpec, sample_triangle
 from minktrig.surfaces import (
     Component,
     OffSurface,
     SegmentKind,
     SurfacePoint,
+    _Side,
+    _side,
     angle,
     angle_via_cross,
     classify_point,
     distance,
+    points_equal,
     segment_kind,
     segment_point,
     surface_point,
@@ -38,6 +47,7 @@ from conftest import (
     apply_matrix,
     random_lorentz,
     sample_point,
+    side_reference,
     vec,
 )
 
@@ -419,3 +429,123 @@ class TestAngleViaCross:
                 assert angle_via_cross(b, a, c) == pytest.approx(
                     angle(b, a, c), abs=1e-10
                 )
+
+
+def _outcome(rule, a, b):
+    """The rule's _Side for (a, b), or the type and message of its error."""
+    try:
+        return rule(a, b)
+    except MinkTrigError as exc:
+        return type(exc), str(exc)
+
+
+def assert_side_is_reference(a: SurfacePoint, b: SurfacePoint) -> None:
+    """The float side rule matches the MVec3 one in all seven fields, floats
+    by their hex form, and reads a point exactly where points_equal holds."""
+    got, want = _outcome(_side, a, b), _outcome(side_reference, a, b)
+    if not isinstance(want, _Side):
+        assert got == want
+        return
+    assert got.kind is want.kind
+    for f in ("length", "p", "n2"):
+        assert getattr(got, f).hex() == getattr(want, f).hex(), f
+    assert [x.hex() for x in got.cross.as_tuple()] == [
+        x.hex() for x in want.cross.as_tuple()]
+    assert got.lightlike is want.lightlike
+    assert got.opposite is want.opposite
+    assert points_equal(a, b) is (got.kind is SegmentKind.POINT)
+
+
+_NEGATED = {Component.H2: Component.NEG_H2, Component.NEG_H2: Component.H2,
+            Component.DE_SITTER: Component.DE_SITTER}
+
+
+def _moved(m, pt: SurfacePoint) -> SurfacePoint:
+    """pt under the orthochronous Lorentz map m, kept on its component
+    without the surface band, which far images may leave."""
+    return SurfacePoint(apply_matrix(m, pt.coords), pt.component)
+
+
+@functools.lru_cache(maxsize=None)
+def _sampled_triangles() -> tuple:
+    return tuple(tuple(sample_triangle(SampleSpec(family=f, count=6, seed=29)))
+                 for f in FAMILIES)
+
+
+def _edge_pairs() -> list:
+    """Equal and opposite pairs at and just beyond _POINT_EQ_TOL, the
+    light-cone and needle rows, and -0.0 coordinates."""
+    pairs = []
+    for base, comp in (((0.0, 1.0, 0.0), Component.DE_SITTER),
+                       ((1.0, 0.0, 0.0), Component.H2),
+                       ((-1.0, 0.0, 0.0), Component.NEG_H2)):
+        a = SurfacePoint(vec(*base), comp)
+        for d in (_POINT_EQ_TOL / 2, math.nextafter(_POINT_EQ_TOL, 0.0),
+                  _POINT_EQ_TOL, math.nextafter(_POINT_EQ_TOL, math.inf),
+                  2 * _POINT_EQ_TOL):
+            x1, x2, _ = base
+            pairs.append((a, SurfacePoint(vec(x1, x2, d), comp)))
+            pairs.append((a, SurfacePoint(vec(-x1, -x2, d), _NEGATED[comp])))
+    rows = (
+        ((0, 1, 0), (0, 0, 1), (1e10, 1e10, 1)),
+        ((1, 0, 0), (1.0000000000000002, 2.1e-8, 0),
+         (1.5430806348152437, 0, 1.1752011936438014)),
+    )
+    for row in rows:
+        v = [surface_point(vec(*x)) for x in row]
+        pairs += [(v[1], v[2]), (v[0], v[2]), (v[0], v[1])]
+    for x, y in (((-0.0, 1.0, -0.0), (0.0, 1.0, 0.0)),
+                 ((1.0, -0.0, 0.0), (1.0, 0.0, -0.0)),
+                 ((-0.0, -1.0, 0.0), (0.0, 1.0, -0.0)),
+                 ((-0.0, 1.0, 0.0), (0.0, -0.0, -1.0)),
+                 ((-1.0, -0.0, -0.0), (-1.0, 0.0, 0.0)),
+                 ((-0.0, 0.0, 1.0), (-0.0, -0.0, 1.0))):
+        pairs.append((surface_point(vec(*x)), surface_point(vec(*y))))
+    return pairs + [(b, a) for a, b in pairs]
+
+
+class TestSideRule:
+    """surfaces._side against the MVec3 rule of conftest, bit for bit."""
+
+    @pytest.mark.parametrize("rapidity", [0.0, 1.0, 3.0, 6.0])
+    def test_edge_pairs(self, rapidity):
+        rng = np.random.default_rng(31)
+        for a, b in _edge_pairs():
+            if rapidity:
+                m = random_lorentz(rng, max_rapidity=rapidity)
+                a, b = _moved(m, a), _moved(m, b)
+            assert_side_is_reference(a, b)
+
+    def test_edge_pairs_reach_every_verdict(self):
+        sides = [side_reference(a, b) for a, b in _edge_pairs()]
+        kinds = {s.kind for s in sides}
+        assert {SegmentKind.POINT, SegmentKind.EMPTY, SegmentKind.HYPERBOLIC,
+                SegmentKind.DE_SITTER_LIGHTLIKE,
+                SegmentKind.DE_SITTER_TIMELIKE} <= kinds
+        assert any(s.opposite for s in sides)
+        assert any(not s.opposite and s.kind is SegmentKind.EMPTY
+                   for s in sides)
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(range(len(FAMILIES))),
+           row=st.integers(0, 5), pair=st.sampled_from(
+               [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (0, 0)]),
+           seed=st.integers(0, 2**32 - 1),
+           rapidity=st.sampled_from([0.0, 1.0, 3.0, 6.0]))
+    def test_sampled_pairs(self, family, row, pair, seed, rapidity):
+        tri = _sampled_triangles()[family][row].vertices()
+        a, b = tri[pair[0]], tri[pair[1]]
+        if rapidity:
+            m = random_lorentz(np.random.default_rng(seed), max_rapidity=rapidity)
+            a, b = _moved(m, a), _moved(m, b)
+        assert_side_is_reference(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(coords=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=6, max_size=6),
+           components=st.tuples(st.sampled_from(Component),
+                                st.sampled_from(Component)))
+    def test_any_finite_coordinates(self, coords, components):
+        a = SurfacePoint(MVec3(*coords[:3]), components[0])
+        b = SurfacePoint(MVec3(*coords[3:]), components[1])
+        assert_side_is_reference(a, b)

@@ -1,5 +1,7 @@
 """Taxonomy, degeneracy, contractibility, and the triangle inequality."""
 
+import copy
+import dataclasses
 import math
 
 import pytest
@@ -42,6 +44,29 @@ class TestConstruction:
     def test_duplicate_vertices_rejected(self):
         with pytest.raises(DuplicateVertices):
             tri((0, 1, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_slotted_values_keep_value_semantics(self):
+        t = tri((0, 1, 0), (0, 0, 1), W_PLUS)
+        twin = tri((0, 1, 0), (0, 0, 1), W_PLUS)
+        A = t.A
+        for value, same, field in ((A.coords, twin.A.coords, "x1"),
+                                   (A, twin.A, "coords"), (t, twin, "A")):
+            assert not hasattr(value, "__dict__")
+            assert value == same and value is not same
+            assert hash(value) == hash(same)
+            assert copy.copy(value) == value
+            assert copy.deepcopy(value) == value
+            fields = ", ".join(f"{f.name}={getattr(value, f.name)!r}"
+                               for f in dataclasses.fields(value))
+            assert repr(value) == f"{type(value).__name__}({fields})"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field, None)
+        assert t != tri((0, 1, 0), (0, 0, 1), W_MINUS)
+        assert repr(A) == ("SurfacePoint(coords=MVec3(x1=0.0, x2=1.0, x3=0.0), "
+                           "component=<Component.DE_SITTER: 'de_sitter'>)")
+        assert len({t, twin}) == 1
+        with pytest.raises(DuplicateVertices):
+            Triangle(A, twin.B, A)
 
 
 class TestClassify:
