@@ -6,7 +6,9 @@ Construction fails exactly when some cross product is zero (opposite
 vertices) or lightlike (a side plane is lightlike).  Both verdicts, the
 normaliser sqrt|<<B x C, B x C>>| and the sign are read off the triangle's
 geometry, the same values its classification reads, so a side cannot be
-lightlike for one and not for the other.
+lightlike for one and not for the other.  Where det(A, B, C) or a cross
+product overflows floats, the polar has no float vertices, and
+DegenerateTriangle is raised.
 
 The type mapping is one table of (type, polar type) pairs.  Polarity is an
 involution, so the table is read in both directions, and "the polar of X may
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import PolarNonExistent
+from .errors import DegenerateTriangle, PolarNonExistent
 from .surfaces import Component, SegmentKind
 from .triangles import Triangle, TriangleClass, TriangleFamily, _geometry
 
@@ -42,10 +44,14 @@ def polar_triangle(t: Triangle) -> PolarResult:
             raise PolarNonExistent(REASON_OPPOSITE)
         if s.lightlike:
             raise PolarNonExistent(REASON_LIGHTLIKE)
+    a, b, c = g.sides
+    # an overflowing cross product leaves det or an n2 infinite or NaN, which
+    # neither the det band nor the normaliser can read
+    if not all(map(math.isfinite, (g.det, a.n2, b.n2, c.n2))):
+        raise DegenerateTriangle("det(A, B, C) or a side's n2 overflows floats")
     if g.degenerate:
         return PolarResult(vertices=None, epsilon=0, zero_triangle=True)
     eps = 1 if g.det > 0.0 else -1
-    a, b, c = g.sides
     # B x C, C x A, A x B; side b runs from A to C
     crosses = (a.cross, -b.cross, c.cross)
     verts = tuple(float(eps) * n / math.sqrt(abs(s.n2))

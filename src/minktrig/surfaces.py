@@ -46,7 +46,7 @@ from .errors import (
     OffSurfaceError,
     ParamOutOfRange,
 )
-from .mink import MVec3, cross, minkowski_norm, minkowski_product
+from .mink import MVec3, minkowski_product
 
 
 class Component(Enum):
@@ -278,11 +278,7 @@ def _wrap_angle(p: float, kind: SegmentKind) -> float:
 
 def angle(b: SurfacePoint, a: SurfacePoint, c: SurfacePoint) -> float:
     """Angle at vertex a between the segments toward b and toward c."""
-    return _angle(a, b, c, _side(a, b), _side(a, c))
-
-
-def _angle(a: SurfacePoint, b: SurfacePoint, c: SurfacePoint,
-           ab: _Side, ac: _Side) -> float:
+    ab, ac = _side(a, b), _side(a, c)
     kind = _check_legs((ab.kind, ac.kind))
     p = minkowski_product(_tangent(a, b, ab), _tangent(a, c, ac))
     return _wrap_angle(p, kind)
@@ -293,12 +289,12 @@ def angle_via_cross(b: SurfacePoint, a: SurfacePoint, c: SurfacePoint) -> float:
 
     The tangent-vector product equals +-<<(AxB)^, (AxC)^>>, with the minus sign
     on the Lorentzian component and the plus sign on the hyperboloid sheets.
+    The cross products and their norms sqrt|n2| are those of the two sides.
     """
-    kind = _check_legs((segment_kind(a, b), segment_kind(a, c)))
-    A, B, C = a.coords, b.coords, c.coords
-    nab = cross(A, B)
-    nac = cross(A, C)
-    p = minkowski_product(nab, nac) / (minkowski_norm(nab) * minkowski_norm(nac))
+    ab, ac = _side(a, b), _side(a, c)
+    kind = _check_legs((ab.kind, ac.kind))
+    p = minkowski_product(ab.cross, ac.cross) / (
+        math.sqrt(abs(ab.n2)) * math.sqrt(abs(ac.n2)))
     if kind in (SegmentKind.DE_SITTER_SPACELIKE, SegmentKind.DE_SITTER_TIMELIKE):
         p = -p
     return _wrap_angle(p, kind)

@@ -27,9 +27,9 @@ is a (side or vertex, row) array: its rows are contiguous, and a reduction
 over its three sides is elementwise.  The classification's (N, 3) and (N,)
 fields are transposed views of these arrays.
 
-The scalar rules run without numpy.  The array rules' index and code tables
-are built on the first array call (``_tables``), and numpy is loaded then
-(``_numpy``).
+The scalar rules run without numpy.  The array rules' index tables are
+tuples, and their two code arrays are built on the first array call
+(``_codes``), when numpy is loaded (``_numpy``).
 """
 
 from __future__ import annotations
@@ -276,48 +276,31 @@ _PROPER_KINDS = tuple(ProperKind)
 _SPATIO_C, _SPATIO_NC = 0, 1  # the spatiolateral ProperKind codes
 _LAW_NAMES = [f.value for f in LawFamily]
 
-# The index and code arrays of _classify_rows, which _tables builds on the
-# first array call; __getattr__ serves them by name before that.
-_TABLES = ("_J", "_K", "_NEXT", "_AFTER", "_FAMILY_CODES", "_KIND_CODES", "_LAW_CODES")
+# Side i joins vertices _J[i] and _K[i] (a = BC, b = AC, c = AB); the same
+# index pairs give, for each i, the other two indices j < k.
+_J, _K = (1, 0, 0), (2, 2, 1)
+# Each index's successor and the one after, mod 3: cross product components
+# are (x x y)_m = x_{m+1} y_{m+2} - x_{m+2} y_{m+1}.
+_NEXT, _AFTER = (1, 2, 0), (2, 0, 1)
 
 
 @functools.cache
-def _tables() -> None:
-    """Build the arrays named in _TABLES as module globals, once."""
-    global _J, _K, _NEXT, _AFTER, _FAMILY_CODES, _KIND_CODES, _LAW_CODES
-    # Side i joins vertices _J[i] and _K[i] (a = BC, b = AC, c = AB); the same
-    # index pairs give, for each i, the other two indices j < k.
-    _J = np.array([1, 0, 0])
-    _K = np.array([2, 2, 1])
-    # Each index's successor and the one after, mod 3: cross product
-    # components are (x x y)_m = x_{m+1} y_{m+2} - x_{m+2} y_{m+1}.
-    _NEXT = np.array([1, 2, 0])
-    _AFTER = np.array([2, 0, 1])
-    # The triangle family of three component codes (-1 reads an axis's last
-    # entry).
-    _FAMILY_CODES = np.full((4, 4, 4), _STRANGE)
-    _FAMILY_CODES[-1, :, :] = _FAMILY_CODES[:, -1, :] = _FAMILY_CODES[:, :, -1] = -1
-    _FAMILY_CODES[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = [0, 1, 2]
-    # _KIND_TABLE on the kinds of sides a, b, c, -1 unless all three are de
-    # Sitter kinds (consecutive in SegmentKind); spatiolateral rows read
-    # non-contractible until their anchors are read.
-    _KIND_CODES = np.full((len(_KINDS),) * 3, -1)
+def _codes():
+    """The two code arrays _classify_rows indexes, built on its first call.
+
+    The first is _KIND_TABLE on the kinds of sides a, b, c, -1 unless all
+    three are de Sitter kinds (consecutive in SegmentKind); spatiolateral rows
+    read non-contractible until their anchors are read.  The second is the law
+    family of each proper kind (the one of the same name), -1 for none, also
+    at index -1.  Rows of the hyperbolic families are HYP, code 0."""
+    kind_codes = np.full((len(_KINDS),) * 3, -1)
     for sides in np.ndindex(3, 3, 3):
         kind = _KIND_TABLE[tuple(sides.count(i) for i in range(3))]
-        _KIND_CODES[tuple(_SPACELIKE + i for i in sides)] = _PROPER_KINDS.index(
+        kind_codes[tuple(_SPACELIKE + i for i in sides)] = _PROPER_KINDS.index(
             kind or ProperKind.SPATIOLATERAL_NONCONTRACTIBLE)
-    # The law family of each proper kind (the one of the same name), -1 for
-    # none, also at index -1.  Rows of the hyperbolic families are HYP, code 0.
-    _LAW_CODES = np.array([_LAW_NAMES.index(k.value) if k.value in _LAW_NAMES else -1
-                           for k in ProperKind] + [-1])
-
-
-def __getattr__(name):
-    """The arrays of _TABLES by name (PEP 562), built on first use."""
-    if name not in _TABLES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _tables()
-    return globals()[name]
+    law_codes = np.array([_LAW_NAMES.index(k.value) if k.value in _LAW_NAMES else -1
+                          for k in ProperKind] + [-1])
+    return kind_codes, law_codes
 
 
 def _mink(x, y):
@@ -361,7 +344,7 @@ def _classify_rows(V) -> _Rows:
     component bands of surfaces.classify_point (for q < 0, ||q| - 1| is
     |q + 1| exactly), the side rule of surfaces._side, the det band of
     _geometry, _KIND_TABLE, and contractibility by _anchors."""
-    _tables()
+    kind_codes, law_codes = _codes()
     X = np.ascontiguousarray(V.T)  # coordinate, vertex, row
     q = _mink(X, X)
     comp = np.where(np.abs(np.abs(q) - 1.0) <= EPS_SURF,
@@ -395,13 +378,15 @@ def _classify_rows(V) -> _Rows:
     scale = norms[0] * norms[1] * norms[2]
     degenerate = np.abs(det) <= EPS_DEGEN * scale
 
-    family = _FAMILY_CODES[comp[0], comp[1], comp[2]]
-    proper = _KIND_CODES[kinds[0], kinds[1], kinds[2]]
+    # -1 off the quadric, the shared component on one, else strange
+    family = np.where(comp.min(axis=0) < 0, -1, np.where(
+        (comp[0] == comp[1]) & (comp[1] == comp[2]), comp[0], _STRANGE))
+    proper = kind_codes[kinds[0], kinds[1], kinds[2]]
     spatiolateral = proper == _SPATIO_NC
     if spatiolateral.any():  # the anchors, only where they are read
         a, b, c = _anchors(p)
         proper = np.where(spatiolateral & (a | b | c), _SPATIO_C, proper)
-    law = np.where((family >= 0) & (family < _PROPER), 0, _LAW_CODES[proper])
+    law = np.where((family >= 0) & (family < _PROPER), 0, law_codes[proper])
     return _Rows(comp.T, kinds.T, lengths.T, lightlike.T, opposite.T, p.T, n2.T, det,
                  scale, degenerate, family, proper, law, X.T)
 
@@ -414,6 +399,20 @@ class InequalityReport:
 
 
 _ISOSCELES_TOL = 1e-9
+
+# The triangle inequality's predicted verdict for each proper kind, None where
+# it holds only case by case; the bimetrical kinds are read off their sides.
+_PREDICTED = {
+    ProperKind.SPATIOLATERAL_CONTRACTIBLE: False,
+    ProperKind.SPATIOLATERAL_NONCONTRACTIBLE: True,
+    ProperKind.CHOROSCELES: None,
+    ProperKind.TEMPOLATERAL: False,
+    ProperKind.CHRONOSCELES: None,
+    ProperKind.LUCILATERAL: True,
+    ProperKind.PHOTOSCELES_SPACELIKE_BASE: False,
+    ProperKind.PHOTOSCELES_TIMELIKE_BASE: False,
+    ProperKind.MULTIPLE: None,
+}
 
 
 def _predicted_inequality(cls: TriangleClass, la: float, lb: float,
@@ -429,26 +428,13 @@ def _predicted_inequality(cls: TriangleClass, la: float, lb: float,
     if cls.impossible_sides:
         return math.isinf(la) + math.isinf(lb) + math.isinf(lc) >= 2
     pk = cls.proper_kind
-    if pk is ProperKind.TEMPOLATERAL:
-        return False
-    if pk is ProperKind.SPATIOLATERAL_NONCONTRACTIBLE:
-        return True
-    if pk is ProperKind.SPATIOLATERAL_CONTRACTIBLE:
-        return False
-    if pk is ProperKind.LUCILATERAL:
-        return True
-    if (pk is ProperKind.PHOTOSCELES_SPACELIKE_BASE
-            or pk is ProperKind.PHOTOSCELES_TIMELIKE_BASE):
-        return False
-    if (pk is ProperKind.BIMETRICAL_CHOROSCELES
-            or pk is ProperKind.BIMETRICAL_CHRONOSCELES):
-        # the two sides of positive length, if two there are, are equal
-        measurable = [x for x in (la, lb, lc) if x > 0.0]
-        if len(measurable) != 2:
-            return None
-        return abs(measurable[0] - measurable[1]) <= _ISOSCELES_TOL
-    # chorosceles, chronosceles, multiple: the inequality holds only case by case
-    return None
+    if pk in _PREDICTED:
+        return _PREDICTED[pk]
+    # bimetrical: the two sides of positive length, if two there are, are equal
+    measurable = [x for x in (la, lb, lc) if x > 0.0]
+    if len(measurable) != 2:
+        return None
+    return abs(measurable[0] - measurable[1]) <= _ISOSCELES_TOL
 
 
 def triangle_inequality_report(t: Triangle) -> InequalityReport:

@@ -1,7 +1,8 @@
 """Shared fixtures, and the test oracles: seeded Lorentz maps, point and
 segment samplers, a quadrature arc length independent of the closed-form
-distance, the side rule in MVec3 arithmetic, and the CLI's replies as
-json.dumps writes them.  The package itself uses none of them."""
+distance, the side rule and the cross-product angle in MVec3 arithmetic,
+and the CLI's replies as json.dumps writes them.  The package itself uses
+none of them."""
 
 import json
 import math
@@ -17,14 +18,16 @@ from minktrig.errors import (
     UnsupportedFamily,
 )
 from minktrig.constants import _POINT_EQ_TOL, EPS_LIGHT
-from minktrig.mink import MVec3, cross, euclid_dot, minkowski_product
+from minktrig.mink import MVec3, cross, euclid_dot, minkowski_norm, minkowski_product
 from minktrig.polar import polar_triangle
 from minktrig.surfaces import (
     Component,
     SegmentKind,
     SurfacePoint,
+    _check_legs,
     _clamped_arcosh,
     _Side,
+    _wrap_angle,
     distance,
     points_equal,
     segment_kind,
@@ -214,6 +217,19 @@ def side_reference(a: SurfacePoint, b: SurfacePoint) -> _Side:
         kind = SegmentKind.DE_SITTER_SPACELIKE
         length = math.acos(p if p < 1.0 else 1.0)
     return _Side(kind, length, p, n, n2, lightlike, opposite)
+
+
+def angle_via_cross_reference(b: SurfacePoint, a: SurfacePoint,
+                              c: SurfacePoint) -> float:
+    """surfaces.angle_via_cross from its own segment kinds, cross products and
+    Minkowski norms, which the view of the two sides must match bit for bit."""
+    kind = _check_legs((segment_kind(a, b), segment_kind(a, c)))
+    A, B, C = a.coords, b.coords, c.coords
+    nab, nac = cross(A, B), cross(A, C)
+    p = minkowski_product(nab, nac) / (minkowski_norm(nab) * minkowski_norm(nac))
+    if kind in (SegmentKind.DE_SITTER_SPACELIKE, SegmentKind.DE_SITTER_TIMELIKE):
+        p = -p
+    return _wrap_angle(p, kind)
 
 
 def jsonify(value):

@@ -25,6 +25,7 @@ classifying the sampled rows again gives.
 """
 
 import contextlib
+import itertools
 import json
 import math
 
@@ -333,6 +334,30 @@ def test_constructed_rows_match_the_scalar_classifier():
     assert_classes_match(V, triangles_of(V))
 
 
+def component_point(code, i):
+    """Point i of three distinct ones with component code code: the forward
+    and backward sheets, the de Sitter surface, and off the quadric for -1."""
+    c, s = math.cos(2 * math.pi * i / 3), math.sin(2 * math.pi * i / 3)
+    ch, sh = math.cosh(1.0), math.sinh(1.0)
+    return {0: (ch, sh * c, sh * s), 1: (-ch, sh * c, sh * s), 2: (0.0, c, s),
+            -1: (0.0, 2.0 * c, 2.0 * s)}[code]
+
+
+def test_family_code_of_every_component_triple():
+    # -1 when any vertex is off the quadric, else the scalar family
+    triples = list(itertools.product((-1, 0, 1, 2), repeat=3))
+    V = np.array([[component_point(code, i) for i, code in enumerate(codes)]
+                  for codes in triples])
+    classes = _classify_rows(V)
+    assert classes.components.tolist() == [list(codes) for codes in triples]
+    for codes, row, family in zip(triples, V.tolist(), classes.family.tolist()):
+        if -1 in codes:
+            assert family == -1
+        else:
+            t = Triangle.from_vectors(*(MVec3(*v) for v in row))
+            assert TRIANGLE_FAMILIES[family] is _classify(t)[0].family
+
+
 @pytest.mark.parametrize("family", LAW_SAMPLES)
 def test_single_triangle_views_equal_their_batch_row(family):
     triangles = sample_triangle(SampleSpec(family=family, count=40, seed=45))
@@ -536,7 +561,7 @@ GROUP = np.array([0, 0, 0, 1, 1, 1])  # the hyperbolic column of each value
 
 
 def coded_laws(family, sides, angles):
-    law = _LAWS.take(family, axis=0)
+    law = np.take(_LAWS, family, axis=0)
     values = np.concatenate((sides, angles), axis=1)
     hyperbolic = law.take(GROUP, axis=1) > 0.0
     c = np.where(hyperbolic, np.cosh(values), np.cos(values))
@@ -559,7 +584,7 @@ def coded_law_batch(vertices):
         count = hits.sum(axis=1)
         angles, angle_clamp = coded_angles(V, family, c.p, c.n2)
         rows = np.arange(len(V))[:, None]
-        order = _ORDERS[np.argmax(hits, axis=1)]
+        order = np.take(_ORDERS, np.argmax(hits, axis=1), axis=0)
         sides, angles = c.lengths[rows, order], angles[rows, order]
         residuals, ratios, vanishing = coded_laws(family, sides, angles)
         max_residual = np.maximum(residuals.max(axis=1),

@@ -142,6 +142,16 @@ class TestPolar:
         assert data["zero_triangle"] is True
         assert data["epsilon"] == 0
 
+    def test_overflowing_cross_product_exit_3(self, capsys, monkeypatch):
+        # side c's cross product has x3 = -inf, so its n2 and det(A, B, C)
+        # are NaN and the det band cannot call the triangle degenerate
+        payload = triangle_payload((1.3e154, 1.3e154, 1), (1.3e154, -1.3e154, 1),
+                                   (0, 1, 0))
+        code, out, err = run_cli(capsys, monkeypatch, ["polar"], stdin=payload)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("DegenerateTriangle: ")
+        assert "NaN" not in err and "Infinity" not in err
+
 
 class TestVerify:
     def test_sampled_batch_summary(self, capsys, monkeypatch):

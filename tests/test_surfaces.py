@@ -44,6 +44,7 @@ from minktrig.triangles import _classify_rows
 from conftest import (
     SQRT2,
     SQRT3,
+    angle_via_cross_reference,
     apply_matrix,
     random_lorentz,
     sample_point,
@@ -430,11 +431,25 @@ class TestAngleViaCross:
                     angle(b, a, c), abs=1e-10
                 )
 
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "mixed"])
+    def test_is_the_reference_to_the_bit(self, family):
+        # the angle at each vertex of sampled triangles, as float.hex, or the
+        # same error type and message
+        for t in sample_triangle(SampleSpec(family=family, count=60, seed=61)):
+            a, b, c = t.vertices()
+            for legs in ((b, a, c), (a, b, c), (a, c, b)):
+                got, want = (_outcome(rule, *legs) for rule in (
+                    angle_via_cross, angle_via_cross_reference))
+                if isinstance(want, float):
+                    assert isinstance(got, float) and got.hex() == want.hex()
+                else:
+                    assert got == want
 
-def _outcome(rule, a, b):
-    """The rule's _Side for (a, b), or the type and message of its error."""
+
+def _outcome(rule, *points):
+    """The rule's value at the points, or the type and message of its error."""
     try:
-        return rule(a, b)
+        return rule(*points)
     except MinkTrigError as exc:
         return type(exc), str(exc)
 

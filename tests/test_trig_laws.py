@@ -236,12 +236,12 @@ class TestDualityTransport:
         #                 + s1 s2 lcs'[a] sc(a) as(beta) as(gamma),
         # where s1 = -1 if the sides flip and s2 = -1 if the angles do.
         polar, sides_flip, angles_flip = self.POLAR_SUBSTITUTIONS[family]
-        theirs = _LAWS[_FAMILIES.index(polar)].tolist()
+        theirs = list(_LAWS[_FAMILIES.index(polar)])
         # pi - x appears only in cos and sin, never in cosh and sinh
         assert not (sides_flip and theirs[0]) and not (angles_flip and theirs[1])
         s1, s2 = (-1.0 if flip else 1.0 for flip in (sides_flip, angles_flip))
         derived = [theirs[0], s1 * theirs[2], *(s1 * s2 * x for x in theirs[4:7])]
-        own = _LAWS[_FAMILIES.index(family)].tolist()
+        own = list(_LAWS[_FAMILIES.index(family)])
         # the angle function, lca_product and lca a, b, c columns
         assert [own[1], own[3], *own[7:]] == derived
 
